@@ -34,11 +34,10 @@ from .cycles import (
     Rotation,
     dist_set,
     find_W,
-    search_cycle_families,
     verify_w_size_reconstruction,
     w_set,
 )
-from .decks import Deck, deck, format_deck, matching_t, signature, t_deck
+from .decks import Deck, deck, format_deck, matching_t, t_deck
 from .digraph import (
     EMPTY,
     MAX_N,
@@ -113,7 +112,7 @@ __all__ = [
     "is_switching_stable", "is_switching_stable_set", "is_weakly_connected",
     "make_family", "matching_t", "maxdeg2_shapes", "merge_reports",
     "parse_digraph6", "possible_components", "run_census",
-    "search_cycle_families", "signature", "solve_switch_iso",
+    "solve_switch_iso",
     "strip_stable_components", "switch_set", "switch_vertex",
     "switching_adjacent", "t_deck", "underlying", "verify_disconnected_dichotomy",
     "verify_index_identity", "verify_strip_residue", "verify_w_size_reconstruction",

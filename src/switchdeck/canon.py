@@ -11,15 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterator
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
+import numpy as _np
 
 from .digraph import Digraph, Permutation, UnderlyingGraph, components, in_masks
 from .errors import TooLarge
+from .spaces import _CHUNK, scan_reps
 
 CanonicalCode = bytes
 
@@ -241,67 +239,6 @@ def edge_list(u: UnderlyingGraph) -> list[tuple[int, int]]:
     return sorted(u.edges())
 
 
-def orientation_orbit_min(
-    u: UnderlyingGraph, aut: AutGroup, o: Sequence[int]
-) -> tuple[int, ...]:
-    """Lexicographically least image of an orientation vector under aut.
-
-    o[i] = 0 orients edge i of edge_list(u) from its lower to its higher
-    endpoint, 1 the other way.  Images are built edge by edge so a losing
-    permutation is abandoned at the first position that exceeds the best.
-    """
-    edges = edge_list(u)
-    m = len(edges)
-    index = {e: i for i, e in enumerate(edges)}
-    best = list(o)
-    for p in aut.elements:
-        if p.is_identity():
-            continue
-        img = p.image
-        # position j of the image comes from edge src[j], possibly flipped
-        src = [0] * m
-        flip = [0] * m
-        for i, (a, b) in enumerate(edges):
-            a2, b2 = img[a], img[b]
-            if a2 < b2:
-                src[index[(a2, b2)]] = i
-                flip[index[(a2, b2)]] = 0
-            else:
-                src[index[(b2, a2)]] = i
-                flip[index[(b2, a2)]] = 1
-        cand: list[int] = []
-        better = False
-        for j in range(m):
-            bit = o[src[j]] ^ flip[j]
-            if not better:
-                if bit > best[j]:
-                    cand = []
-                    break
-                if bit < best[j]:
-                    better = True
-            cand.append(bit)
-        if better and cand:
-            best = cand
-    return tuple(best)
-
-
-def _mix64(x: int) -> int:
-    """splitmix64 finalizer; deterministic 64-bit mixing for signatures."""
-    mask = (1 << 64) - 1
-    x = (x + 0x9E3779B97F4A7C15) & mask
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
-    return x ^ (x >> 31)
-
-
-def _mix64_np(a):
-    mask = _np.uint64((1 << 64) - 1)
-    a = (a + _np.uint64(0x9E3779B97F4A7C15)) & mask
-    a = (a ^ (a >> _np.uint64(30))) * _np.uint64(0xBF58476D1CE4E5B9)
-    a = (a ^ (a >> _np.uint64(27))) * _np.uint64(0x94D049BB133111EB)
-    return a ^ (a >> _np.uint64(31))
-
-
 class OrientationSpace:
     """Orientations of a fixed underlying graph, as m-bit integers.
 
@@ -361,9 +298,6 @@ class OrientationSpace:
                 best = y
         return best
 
-    def is_orbit_min(self, x: int) -> bool:
-        return all(self.act(action, x) >= x for action in self.actions)
-
     def act_array(self, action, xs):
         srcpos, dstpos, flipmask = action
         one = _np.uint64(1)
@@ -384,19 +318,39 @@ class OrientationSpace:
     def switched(self, x: int, v: int) -> int:
         return x ^ self.switch_masks[v]
 
-    def reps(self, use_numpy: bool | None = None) -> list[int]:
-        """All orbit-minimal orientation integers, ascending."""
-        total = 1 << self.m
-        if not self.actions:
-            return list(range(total))
-        if use_numpy is None:
-            use_numpy = _np is not None and total >= 1 << 16
-        if not use_numpy:
-            return [x for x in range(total) if self.is_orbit_min(x)]
-        return [int(v) for v in self.reps_array()]
+    def domain_chunk(self, start: int, stop: int):
+        return _np.arange(start, stop, dtype=_np.uint64)
 
-    def reps_array(self):
-        """Orbit-minimal orientation integers as an ascending uint64 array.
+    def count(self) -> int:
+        """Class count by Burnside's lemma over the automorphism actions.
+
+        An action permutes bit positions and then flips some; it fixes an
+        orientation exactly when each cycle of the bit permutation holds an
+        even number of flipped positions, and then fixes 2^cycles of them.
+        """
+        fixed = 1 << self.m
+        for srcpos, dstpos, flipmask in self.actions:
+            succ = dict(zip(srcpos, dstpos))
+            seen = 0
+            cycles = 0
+            for start in range(self.m):
+                if seen >> start & 1:
+                    continue
+                cycles += 1
+                parity = 0
+                pos = start
+                while not seen >> pos & 1:
+                    seen |= 1 << pos
+                    parity ^= flipmask >> pos & 1
+                    pos = succ[pos]
+                if parity:
+                    break
+            else:
+                fixed += 1 << cycles
+        return fixed // (len(self.actions) + 1)
+
+    def rep_chunks(self, chunk: int = _CHUNK) -> Iterator:
+        """Orbit-minimal orientation integers, ascending, in chunks.
 
         Small groups get a full-domain scan.  When |group| * 2^m is large the
         scan is replaced by batch marking: each batch of the lowest unmarked
@@ -404,23 +358,22 @@ class OrientationSpace:
         about one pass over the domain regardless of group order.
         """
         total = 1 << self.m
-        if not self.actions:
-            return _np.arange(total, dtype=_np.uint64)
         if total * len(self.actions) <= 1 << 32:
-            chunks = []
-            chunk = 1 << 22
-            for start in range(0, total, chunk):
-                xs = _np.arange(start, min(start + chunk, total), dtype=_np.uint64)
-                chunks.append(xs[self.orbit_min_array(xs) == xs])
-            return _np.concatenate(chunks)
+            return scan_reps(self, chunk)
         return self._reps_batch_marking(total)
 
-    def _reps_batch_marking(self, total: int):
+    def reps_array(self):
+        """Orbit-minimal orientation integers as an ascending uint64 array."""
+        return _np.concatenate(list(self.rep_chunks()))
+
+    def reps(self) -> list[int]:
+        return self.reps_array().tolist()
+
+    def _reps_batch_marking(self, total: int) -> Iterator:
         # Any unmarked x has its whole orbit unmarked (orbits are marked as
         # units), so its orbit minimum lies in the same ascending batch and the
         # keep test om(batch) == batch is exact.
         marked = _np.zeros(total, dtype=bool)
-        reps: list = []
         ptr = 0
         batch_cap = 1 << 15
         scan = 1 << 22
@@ -448,9 +401,8 @@ class OrientationSpace:
                 img = self.act_array(action, batch)
                 _np.minimum(om, img, out=om)
                 marked[img] = True
-            reps.append(batch[om == batch])
+            yield batch[om == batch]
             ptr = int(batch[-1]) + 1
-        return _np.concatenate(reps)
 
     def card(self, x: int, v: int) -> int:
         """Class id of the orientation after switching vertex v."""

@@ -2,9 +2,16 @@
 
 run_census enumerates every isomorphism class of a class label over a range
 of orders, groups the classes that share a t-deck, and returns the families
-in a SearchReport.  Small spaces are grouped exactly in python; large spaces
-go through a vectorized 64-bit signature pipeline whose candidate groups are
-re-verified exactly, so the output is exact either way.
+in a SearchReport.
+
+Paths, cycles, digon cycles and the orientations of each underlying graph
+all go through one engine, _space_census.  It walks the space's orbit-minimum
+representatives in domain chunks and gives each one a 64-bit signature: the
+wrapping sum of a mixed class id per card, adjusted per t by the mixed id of
+the representative itself.  Equal t-decks always give equal signatures, so
+every family lies inside a set of colliding signatures; the colliding
+representatives are then regrouped by their exact sorted card lists and each
+family is re-verified as it is built, so the output is exact.
 
 Grouping decomposes soundly: every card of a digraph keeps the labelled
 underlying graph, so graphs with equal decks share their underlying class
@@ -15,19 +22,15 @@ underlying classes.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, product
 from math import comb
 from typing import Callable, Iterable, Sequence
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 from . import canon, decks, generate, spaces
-from .canon import OrientationSpace, _mix64_np
+from .canon import OrientationSpace
 from .digraph import (
     EMPTY,
     Digraph,
@@ -42,6 +45,7 @@ from .errors import (
     HeavyFlagRequired,
     HypothesisUnmet,
     IsomorphicInputs,
+    LengthMismatch,
     NotConnected,
     NotDisconnected,
     OrderMismatch,
@@ -62,8 +66,8 @@ CLASS_BOUNDS: dict[str, tuple[int, int, int]] = {
     "all-oriented": (1, 8, 7),
 }
 
-_PY_LIMIT = 1 << 10       # domains up to this size are grouped in pure python
-_STREAM_LIMIT = 1 << 26   # rep counts above this stream the domain per t
+_CHUNK = 1 << 22        # domain indices scanned per representative chunk
+_HOLD_LIMIT = 1 << 26   # spaces with more classes regenerate their chunks per pass
 
 # every work unit yields families plus per-order class counts
 _TaskOut = tuple[list["Family"], dict[int, int]]
@@ -241,22 +245,6 @@ def _adjusted_key(cards: list[int], own: int, t: int) -> tuple[int, ...] | None:
     return tuple(key)
 
 
-def _families_python(space, reps: Sequence[int], n: int, ts: Sequence[int],
-                     label: str) -> list[Family]:
-    cards = {x: sorted(space.card(x, v) for v in range(n)) for x in reps}
-    families: list[Family] = []
-    for t in ts:
-        buckets: dict[tuple[int, ...], list[int]] = {}
-        for x in reps:
-            key = _adjusted_key(cards[x], x, t)
-            if key is not None:
-                buckets.setdefault(key, []).append(x)
-        for _, xs in sorted(buckets.items()):
-            if len(xs) >= 2:
-                families.append(make_family(label, t, [space.digraph(x) for x in xs]))
-    return families
-
-
 def _verify_candidates(space, cand: Sequence[int], n: int, t: int, label: str) -> list[Family]:
     buckets: dict[tuple[int, ...], list[int]] = {}
     for x in cand:
@@ -270,131 +258,107 @@ def _verify_candidates(space, cand: Sequence[int], n: int, t: int, label: str) -
     return out
 
 
-def _dup_values(sig):
-    srt = _np.sort(sig)
-    eq = srt[1:] == srt[:-1]
-    return _np.unique(srt[1:][eq])
+def _mix64(a):
+    """splitmix64 finalizer over a uint64 array."""
+    a = a + _np.uint64(0x9E3779B97F4A7C15)
+    a = (a ^ (a >> _np.uint64(30))) * _np.uint64(0xBF58476D1CE4E5B9)
+    a = (a ^ (a >> _np.uint64(27))) * _np.uint64(0x94D049BB133111EB)
+    return a ^ (a >> _np.uint64(31))
 
 
-def _families_numpy(space, xs, n: int, ts: Sequence[int], label: str) -> list[Family]:
-    chunk = 1 << 22
+def _signed(space, xs, n: int):
+    """(reps, sig0, own_mix, has_own) for one chunk of representatives.
+
+    sig0 sums the mixed class ids of the n cards (the plain deck), own_mix
+    is the mixed id of the representative itself, and has_own marks the
+    representatives whose deck holds a copy of their own class.
+    """
     sig0 = _np.zeros(len(xs), dtype=_np.uint64)
     has_own = _np.zeros(len(xs), dtype=bool)
-    for s in range(0, len(xs), chunk):
-        sl = slice(s, min(s + chunk, len(xs)))
-        for v in range(n):
-            y = space.orbit_min_array(space.switched_array(xs[sl], v))
-            sig0[sl] += _mix64_np(y)
-            has_own[sl] |= y == xs[sl]
-    own_mix = _mix64_np(xs)
-    families: list[Family] = []
-    for t in ts:
-        if t == -1:
-            sig = (sig0 - own_mix)[has_own]
-            pool = xs[has_own]
-        elif t == 0:
-            sig = sig0
-            pool = xs
-        else:
-            sig = sig0 + _np.uint64(t) * own_mix
-            pool = xs
-        dups = _dup_values(sig)
-        if len(dups) == 0:
-            continue
-        cand = pool[_np.isin(sig, dups)]
-        families.extend(_verify_candidates(space, [int(v) for v in cand], n, t, label))
-    return families
+    for v in range(n):
+        y = space.orbit_min_array(space.switched_array(xs, v))
+        sig0 += _mix64(y)
+        has_own |= y == xs
+    return xs, sig0, _mix64(xs), has_own
 
 
-def _families_streaming(space, n: int, ts: Sequence[int], label: str) -> list[Family]:
-    """Per-t domain streaming for rep sets too large to hold comfortably.
+def _keyed(chunk, t: int):
+    """(pool, key): the chunk's representatives that have a t-deck, and the
+    64-bit signatures of those t-decks."""
+    xs, sig0, own_mix, has_own = chunk
+    if t == -1:
+        return xs[has_own], (sig0 - own_mix)[has_own]
+    if t == 0:
+        return xs, sig0
+    return xs, sig0 + _np.uint64(t) * own_mix
 
-    Pass one computes the signature of every representative in domain order
-    and sorts it in place; a second pass only runs when duplicate signatures
-    exist, re-deriving which representatives carry them.
-    """
-    chunk = 1 << 22
-    total = space.domain_total
-    families: list[Family] = []
 
-    def rep_chunks():
-        for start in range(0, total, chunk):
-            xs = space.domain_chunk(start, min(start + chunk, total))
-            yield xs[space.orbit_min_array(xs) == xs]
-
-    for t in ts:
-        sigs = _np.empty(space.count(), dtype=_np.uint64)
-        pos = 0
-        for xs in rep_chunks():
-            s = _np.zeros(len(xs), dtype=_np.uint64)
-            hw = _np.zeros(len(xs), dtype=bool)
-            for v in range(n):
-                y = space.orbit_min_array(space.switched_array(xs, v))
-                s += _mix64_np(y)
-                hw |= y == xs
-            if t == -1:
-                s = (s - _mix64_np(xs))[hw]
-            elif t > 0:
-                s += _np.uint64(t) * _mix64_np(xs)
-            sigs[pos:pos + len(s)] = s
-            pos += len(s)
-        sigs = sigs[:pos]
-        sigs.sort()
-        eq = sigs[1:] == sigs[:-1]
-        dups = _np.unique(sigs[1:][eq])
-        del sigs
-        if len(dups) == 0:
-            continue
-        cand: list[int] = []
-        for xs in rep_chunks():
-            s = _np.zeros(len(xs), dtype=_np.uint64)
-            hw = _np.zeros(len(xs), dtype=bool)
-            for v in range(n):
-                y = space.orbit_min_array(space.switched_array(xs, v))
-                s += _mix64_np(y)
-                hw |= y == xs
-            if t == -1:
-                keep = hw & _np.isin((s - _mix64_np(xs)), dups)
-            elif t > 0:
-                keep = _np.isin(s + _np.uint64(t) * _mix64_np(xs), dups)
-            else:
-                keep = _np.isin(s, dups)
-            cand.extend(int(v) for v in xs[keep])
-        families.extend(_verify_candidates(space, cand, n, t, label))
-    return families
+def _rep_chunks(space, count: int):
+    """space.rep_chunks at the engine's chunk size, checked against count()."""
+    found = 0
+    for xs in space.rep_chunks(_CHUNK):
+        found += len(xs)
+        if found > count:
+            break
+        yield xs
+    if found != count:
+        raise LengthMismatch(
+            f"{type(space).__name__} rep scan disagrees with count() = {count}"
+        )
 
 
 def _space_census(space, n: int, ts: Sequence[int], label: str) -> tuple[list[Family], int]:
-    """Families plus the number of isomorphism classes in the space."""
-    total = space.domain_total
-    if _np is None or total < _PY_LIMIT:
-        reps = space.reps()
-        return _families_python(space, reps, n, ts, label), len(reps)
-    counter = getattr(space, "count", None)
-    if counter is not None and counter() > _STREAM_LIMIT:
-        return _families_streaming(space, n, ts, label), counter()
-    xs = space.reps_array()
-    if counter is not None:
-        assert len(xs) == counter()
-    return _families_numpy(space, xs, n, ts, label), len(xs)
+    """Families plus the number of isomorphism classes in the space.
+
+    Up to _HOLD_LIMIT classes the signed chunks are computed once and held
+    for every t; the rep scan finishes before any chunk is signed, which
+    keeps the scan's temporaries from overlapping the held arrays.  Larger
+    spaces regenerate their chunks for every pass, holding only one 64-bit
+    key per class.
+    """
+    count = space.count()
+    held = None
+    if count <= _HOLD_LIMIT:
+        held = [_signed(space, xs, n) for xs in list(_rep_chunks(space, count))]
+
+    def chunks():
+        if held is not None:
+            return held
+        return (_signed(space, xs, n) for xs in _rep_chunks(space, count))
+
+    families: list[Family] = []
+    for t in ts:
+        keys = _np.empty(count, dtype=_np.uint64)
+        pos = 0
+        for chunk in chunks():
+            key = _keyed(chunk, t)[1]
+            keys[pos:pos + len(key)] = key
+            pos += len(key)
+        keys = keys[:pos]
+        keys.sort()
+        dups = _np.unique(keys[1:][keys[1:] == keys[:-1]])
+        del keys
+        if len(dups) == 0:
+            continue
+        cand: list[int] = []
+        for chunk in chunks():
+            pool, key = _keyed(chunk, t)
+            cand.extend(pool[_np.isin(key, dups)].tolist())
+        families.extend(_verify_candidates(space, cand, n, t, label))
+    return families, count
 
 
 # ---------------------------------------------------------------------------
 # max-degree-2 engine
 
-@lru_cache(maxsize=64)
-def _part_space(kind: str, k: int):
-    return spaces.PathSpace(k) if kind == "p" else spaces.CycleSpace(k)
-
-
 @lru_cache(maxsize=256)
 def _part_reps(kind: str, k: int) -> tuple[int, ...]:
-    return tuple(_part_space(kind, k).reps())
+    return tuple(generate._part_space((kind, k)).reps())
 
 
 def _comp_digraph(comp: tuple[str, int, int]) -> Digraph:
     kind, k, x = comp
-    return _part_space(kind, k).digraph(x)
+    return generate._part_space((kind, k)).digraph(x)
 
 
 def _build_union(comps: Sequence[tuple[str, int, int]]) -> Digraph:
@@ -433,7 +397,7 @@ def _census_one_shape(n: int, shape, ts: Sequence[int]) -> tuple[list[Family], i
         base = list(key)
         for c, mult in seen_mult.items():
             kind, k, x = c
-            sp = _part_space(kind, k)
+            sp = generate._part_space((kind, k))
             removed = list(base)
             removed.remove(c)
             for v in range(k):
@@ -579,7 +543,7 @@ def _space_for(label: str, n: int):
 
 
 def run_census(class_label: str, n_range: tuple[int, int], t_range=None,
-               heavy: bool = False, threads: int = 1, shard=None) -> SearchReport:
+               heavy: bool = False, shard=None) -> SearchReport:
     """Exhaustive t-deck family search for one class over a range of orders.
 
     shard=(i, k) keeps every k-th work unit starting at i; units never split
@@ -620,14 +584,11 @@ def run_census(class_label: str, n_range: tuple[int, int], t_range=None,
         if not 0 <= idx < total:
             raise RangeTooLarge(f"shard index {idx} outside 0..{total - 1}")
         tasks = tasks[idx::total]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outputs = list(pool.map(lambda fn: fn(), tasks))
-    else:
-        outputs = [fn() for fn in tasks]
     report = SearchReport(class_label, (lo, hi),
-                          tuple(t_range) if t_range is not None else None)
-    for families, counts in outputs:
+                          tuple(t_range) if t_range is not None else None,
+                          shard=tuple(shard) if shard is not None else None)
+    for fn in tasks:
+        families, counts = fn()
         report.families.extend(families)
         for n, size in counts.items():
             report.counts[n] = report.counts.get(n, 0) + size

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Iterable
 
@@ -134,13 +133,11 @@ def _cmd_deck(args) -> int:
 
 
 def _cmd_families(args) -> int:
-    threads = args.threads if args.threads else int(os.environ.get("THREADS", "1"))
     report = run_census(
         args.graph_class,
         _parse_n_range(args.n_range),
         _parse_t_range(args.t_range),
         heavy=args.heavy,
-        threads=threads,
         shard=_parse_shard(args.shard) if args.shard else None,
     )
     if args.json:
@@ -244,8 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="allow orders above the default ceiling")
     p.add_argument("--json", action="store_true",
                    help="emit the report as JSON instead of a summary")
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker threads (default: THREADS env var or 1)")
     p.add_argument("--shard", help="i/k: run only every k-th work unit")
     p.set_defaults(func=_cmd_families)
 

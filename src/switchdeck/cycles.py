@@ -255,13 +255,3 @@ def verify_w_size_reconstruction(co: CycleOrientation, rot: Rotation) -> dict:
         "reconstructed": recon,
         "holds": recon == len(w),
     }
-
-
-def search_cycle_families(n_range, t_range=None, digons: bool = False,
-                          heavy: bool = False, threads: int = 1, shard=None):
-    """Census of same-t-deck families among cycle orientations."""
-    from . import census
-
-    label = "digon-cycles" if digons else "cycles"
-    return census.run_census(label, n_range, t_range, heavy=heavy,
-                             threads=threads, shard=shard)

@@ -7,7 +7,6 @@ switchings; the t-deck adds t extra copies of the class of G itself
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from .canon import CanonicalCode, canonical_code, code_to_digraph
@@ -37,22 +36,23 @@ def _from_counts(counts: dict[CanonicalCode, int]) -> Deck:
     return Deck(tuple(sorted((c, m) for c, m in counts.items() if m)))
 
 
-def deck(g: Digraph) -> Deck:
+def _card_counts(g: Digraph) -> dict[CanonicalCode, int]:
     counts: dict[CanonicalCode, int] = {}
     for v in range(g.n):
         c = canonical_code(switch_vertex(g, v))
         counts[c] = counts.get(c, 0) + 1
-    return _from_counts(counts)
+    return counts
+
+
+def deck(g: Digraph) -> Deck:
+    return _from_counts(_card_counts(g))
 
 
 def t_deck(g: Digraph, t: int) -> Deck:
     """Deck plus t copies of the class of g; t >= -1."""
     if t < -1:
         raise CardAbsent(f"t must be >= -1, got {t}")
-    counts: dict[CanonicalCode, int] = {}
-    for v in range(g.n):
-        c = canonical_code(switch_vertex(g, v))
-        counts[c] = counts.get(c, 0) + 1
+    counts = _card_counts(g)
     own = canonical_code(g)
     have = counts.get(own, 0) + t
     if have < 0:
@@ -80,16 +80,6 @@ def matching_t(g: Digraph, h: Digraph) -> int | None:
             continue
     assert len(matches) <= 1, f"multiple matching t values {matches}"
     return matches[0] if matches else None
-
-
-def signature(d: Deck) -> bytes:
-    """128-bit digest of the sorted (code, multiplicity) pairs."""
-    h = hashlib.blake2b(digest_size=16)
-    for code, mult in d.cards:
-        h.update(len(code).to_bytes(2, "big"))
-        h.update(code)
-        h.update(mult.to_bytes(4, "big"))
-    return h.digest()
 
 
 def format_deck(d: Deck) -> str:

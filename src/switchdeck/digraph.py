@@ -16,7 +16,6 @@ from .errors import (
     LengthMismatch,
     LoopArc,
     MalformedHeader,
-    NotConnected,
     TruncatedBits,
     UnsupportedSize,
     VertexOutOfRange,
@@ -289,16 +288,6 @@ def components(g: Digraph) -> ComponentDecomposition:
     blocks = tuple(VertexSet(g.n, m) for m in masks)
     parts = tuple(induced(g, b) for b in blocks)
     return ComponentDecomposition(blocks, parts)
-
-
-def count_components_iso(g: Digraph, c: Digraph) -> int:
-    """How many components of g are isomorphic to the connected digraph c."""
-    if not is_weakly_connected(c):
-        raise NotConnected("comparison digraph must be weakly connected")
-    from .canon import canonical_code
-
-    target = canonical_code(c)
-    return sum(1 for part in components(g).parts if canonical_code(part) == target)
 
 
 def disjoint_union(*graphs: Digraph) -> Digraph:

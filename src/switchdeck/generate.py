@@ -8,6 +8,7 @@ through canonical codes.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from typing import Iterator
 
@@ -89,6 +90,7 @@ def gen_underlying_maxdeg2(n: int) -> Iterator[UnderlyingGraph]:
         yield shape_underlying(n, shape)
 
 
+@lru_cache(maxsize=64)
 def _part_space(part: Part):
     kind, k = part
     return spaces.PathSpace(k) if kind == "p" else spaces.CycleSpace(k)

@@ -8,6 +8,7 @@ from typing import Iterable, Sequence
 
 from . import canon, decks
 from .digraph import Digraph, format_digraph6, parse_digraph6
+from .errors import HypothesisUnmet, IsomorphicInputs
 
 
 @dataclass(frozen=True, slots=True)
@@ -24,8 +25,8 @@ class Family:
     members: tuple[bytes, ...]
 
     def __post_init__(self):
-        assert len(self.members) >= 2
-        assert tuple(sorted(set(self.members))) == self.members
+        if len(self.members) < 2 or tuple(sorted(set(self.members))) != self.members:
+            raise HypothesisUnmet("a family needs two or more distinct members, sorted")
 
     @property
     def size(self) -> int:
@@ -44,9 +45,11 @@ class Family:
 def make_family(class_label: str, t: int, graphs: Sequence[Digraph], verify: bool = True) -> Family:
     codes = sorted({canon.canonical_code(g) for g in graphs})
     if verify:
-        assert len(codes) == len(graphs), "members must be pairwise non-isomorphic"
+        if len(codes) != len(graphs):
+            raise IsomorphicInputs("family members must be pairwise non-isomorphic")
         ds = [decks.t_deck(g, t) for g in graphs]
-        assert all(d == ds[0] for d in ds[1:]), "members must share the t-deck"
+        if any(d != ds[0] for d in ds[1:]):
+            raise HypothesisUnmet(f"family members must share the {t}-deck")
     return Family(class_label, graphs[0].n, t, tuple(codes))
 
 
@@ -60,12 +63,14 @@ class SearchReport:
     families: list[Family] = field(default_factory=list)
     counts: dict[int, int] = field(default_factory=dict)
     elapsed_ms: int = 0
+    shard: tuple[int, int] | None = None  # (i, k) for one shard of a run
 
     def families_at(self, n: int) -> list[Family]:
         return [f for f in self.families if f.n == n]
 
     def to_dict(self) -> dict:
-        return {
+        """The report's JSON object; "shard" appears only on shard runs."""
+        out = {
             "class": self.class_label,
             "n_range": list(self.n_range),
             "t_range": list(self.t_range) if self.t_range is not None else None,
@@ -74,6 +79,9 @@ class SearchReport:
             "counts": {str(k): v for k, v in sorted(self.counts.items())},
             "elapsed_ms": self.elapsed_ms,
         }
+        if self.shard is not None:
+            out["shard"] = list(self.shard)
+        return out
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -86,6 +94,7 @@ class SearchReport:
             t_range=tuple(data["t_range"]) if data.get("t_range") is not None else None,
             counts={int(k): v for k, v in data.get("counts", {}).items()},
             elapsed_ms=data.get("elapsed_ms", 0),
+            shard=tuple(data["shard"]) if data.get("shard") is not None else None,
         )
         for fd in data.get("families", []):
             graphs = [parse_digraph6(s) for s in fd["members"]]
@@ -113,18 +122,38 @@ class SearchReport:
 
 
 def merge_reports(reports: Iterable[SearchReport]) -> SearchReport:
-    """Combine disjoint shard runs of the same class into one report.
+    """Combine disjoint runs of the same class into one report.
 
     Shards partition the work, so per-n counts add up; a family appearing in
-    two inputs is kept once.
+    two inputs is kept once.  Shard reports must form one complete set: the
+    same k, every index 0..k-1 exactly once, and no unsharded report beside
+    them.  All inputs must share the class and the t range.
     """
     reports = list(reports)
-    assert reports
+    if not reports:
+        raise HypothesisUnmet("nothing to merge")
     label = reports[0].class_label
-    assert all(r.class_label == label for r in reports)
+    t_range = reports[0].t_range
+    for r in reports:
+        if r.class_label != label:
+            raise HypothesisUnmet(f"cannot merge {r.class_label} into {label}")
+        if r.t_range != t_range:
+            raise HypothesisUnmet(f"t ranges differ: {r.t_range} vs {t_range}")
+    shards = [r.shard for r in reports if r.shard is not None]
+    if shards:
+        k = shards[0][1]
+        if len(shards) != len(reports):
+            raise HypothesisUnmet("cannot merge shard reports with unsharded ones")
+        if any(total != k for _, total in shards):
+            raise HypothesisUnmet(f"shard counts differ: {sorted({s[1] for s in shards})}")
+        if sorted(i for i, _ in shards) != list(range(k)):
+            raise HypothesisUnmet(
+                f"shards {sorted(i for i, _ in shards)} are not exactly 0..{k - 1}"
+            )
+        if any(r.n_range != reports[0].n_range for r in reports):
+            raise HypothesisUnmet("shards of one run share their n range")
     lo = min(r.n_range[0] for r in reports)
     hi = max(r.n_range[1] for r in reports)
-    t_range = reports[0].t_range
     merged = SearchReport(label, (lo, hi), t_range)
     seen: set[tuple[int, int, tuple[bytes, ...]]] = set()
     for r in reports:

@@ -12,17 +12,14 @@ cycles additionally rotate.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Iterable, Iterator
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 from .digraph import Digraph
 from .errors import TooSmall
 
-_NUMPY_MIN = 1 << 16
 _CHUNK = 1 << 22
 
 _REV1 = None
@@ -47,6 +44,16 @@ def _byte_tables():
         _REV1 = _np.array(r1, dtype=_np.uint64)
         _REV2 = _np.array(r2, dtype=_np.uint64)
     return _REV1, _REV2
+
+
+def scan_reps(space, chunk: int = _CHUNK) -> Iterator:
+    """Orbit minima of a space, ascending, one uint64 array per `chunk`
+    domain indices.  Domain chunks come in ascending string order, so the
+    concatenation is ascending too."""
+    total = space.domain_total
+    for start in range(0, total, chunk):
+        xs = space.domain_chunk(start, min(start + chunk, total))
+        yield xs[space.orbit_min_array(xs) == xs]
 
 
 def _reverse64(xs, pairs: bool):
@@ -93,13 +100,8 @@ class PathSpace:
     def card(self, x: int, v: int) -> int:
         return self.orbit_min(x ^ self.switch_mask(v))
 
-    def reps(self, use_numpy: bool | None = None) -> list[int]:
-        total = 1 << self.m
-        if use_numpy is None:
-            use_numpy = _np is not None and total >= _NUMPY_MIN
-        if not use_numpy:
-            return [x for x in range(total) if self.orbit_min(x) == x]
-        return [int(v) for v in self.reps_array()]
+    def reps(self) -> list[int]:
+        return self.reps_array().tolist()
 
     @property
     def domain_total(self) -> int:
@@ -117,18 +119,11 @@ class PathSpace:
     def switched_array(self, xs, v: int):
         return xs ^ _np.uint64(self.switch_mask(v))
 
+    rep_chunks = scan_reps
+
     def reps_array(self):
-        """Orbit minima as an ascending uint64 array, preallocated from count()."""
-        out = _np.empty(self.count(), dtype=_np.uint64)
-        pos = 0
-        total = self.domain_total
-        for start in range(0, total, _CHUNK):
-            xs = self.domain_chunk(start, min(start + _CHUNK, total))
-            keep = xs[self.orbit_min_array(xs) == xs]
-            out[pos:pos + len(keep)] = keep
-            pos += len(keep)
-        assert pos == len(out)
-        return out
+        """Orbit minima as an ascending uint64 array."""
+        return _np.concatenate(list(self.rep_chunks()))
 
     def count(self) -> int:
         """Class count: strings modulo the 2-element reversal group."""
@@ -212,9 +207,9 @@ class CycleSpace:
         return (3 if self.digons else 2) ** self.n
 
     def domain_chunk(self, start: int, stop: int):
-        """Packed strings for domain indices [start, stop); any fixed
-        index-to-string bijection works since reps are defined by orbit
-        minima, not enumeration order."""
+        """Packed strings for domain indices [start, stop), ascending: index
+        digit e in base 3 becomes letter slot e, so index order is string
+        order."""
         idx = _np.arange(start, stop, dtype=_np.uint64)
         if not self.digons:
             return idx
@@ -236,16 +231,11 @@ class CycleSpace:
             return xs ^ flip
         return xs ^ (flip & ~(xs >> _np.uint64(1)))
 
+    rep_chunks = scan_reps
+
     def reps_array(self):
         """Orbit minima as an ascending uint64 array."""
-        total = self.domain_total
-        parts = []
-        for start in range(0, total, _CHUNK):
-            xs = self.domain_chunk(start, min(start + _CHUNK, total))
-            parts.append(xs[self._orbit_min_array(xs) == xs])
-        out = _np.concatenate(parts)
-        out.sort()
-        return out
+        return _np.concatenate(list(self.rep_chunks()))
 
     def _orbit_min_array(self, xs):
         width = _np.uint64(self.width)
@@ -265,33 +255,11 @@ class CycleSpace:
                 _np.minimum(best, rot, out=best)
         return best
 
-    def reps(self, use_numpy: bool | None = None) -> list[int]:
-        total = self.domain_total
-        if use_numpy is None:
-            use_numpy = _np is not None and total >= _NUMPY_MIN
-        if not use_numpy:
-            return [x for x in self._iter_domain() if self.orbit_min(x) == x]
-        return [int(v) for v in self.reps_array()]
-
-    def _iter_domain(self) -> Iterator[int]:
-        if not self.digons:
-            yield from range(1 << self.n)
-            return
-        n = self.n
-
-        def rec(prefix: int, k: int):
-            if k == n:
-                yield prefix
-                return
-            for letter in (0, 1, 2):
-                yield from rec(prefix << 2 | letter, k + 1)
-
-        yield from rec(0, 0)
+    def reps(self) -> list[int]:
+        return self.reps_array().tolist()
 
     def count(self) -> int:
         """Class count by orbit counting over the 2n relabellings."""
-        from math import gcd
-
         n = self.n
         k = 3 if self.digons else 2
         total = sum(k ** gcd(n, r) for r in range(n))

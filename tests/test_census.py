@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from switchdeck import catalog
-from switchdeck.canon import canonical_code, is_isomorphic
+from itertools import product
+
+from switchdeck import catalog, census
+from switchdeck.canon import OrientationSpace, canonical_code, is_isomorphic
 from switchdeck.census import (
     _census_reduced_span,
     definite_components,
@@ -24,14 +26,16 @@ from switchdeck.errors import (
     HeavyFlagRequired,
     HypothesisUnmet,
     IsomorphicInputs,
+    LengthMismatch,
     NotConnected,
     NotDisconnected,
     OrderMismatch,
     RangeTooLarge,
     UniverseNotClosed,
 )
-from switchdeck.generate import gen_oriented_maxdeg2
+from switchdeck.generate import gen_oriented_maxdeg2, gen_underlying_graphs
 from switchdeck.report import SearchReport, make_family, merge_reports
+from switchdeck.spaces import CycleSpace, PathSpace
 
 from ._oracles import (
     CYCLES,
@@ -253,10 +257,68 @@ def test_shards_partition_the_search():
     assert merged.counts == whole.counts
 
 
-def test_threads_do_not_change_the_result(maxdeg2_report):
-    duo = run_census("maxdeg2", (1, 8), threads=2)
-    assert family_keyset(maxdeg2_report) == family_keyset(duo)
-    assert maxdeg2_report.counts == duo.counts
+def test_chunked_and_regenerated_engine_paths_match_the_default(monkeypatch):
+    """Tiny chunks split every domain; a tiny hold limit makes every space
+    with more than 16 classes regenerate its signed chunks on each pass."""
+    cases = [("cycles", (3, 12)), ("digon-cycles", (8, 10)), ("paths", (1, 12)),
+             ("all-oriented", (1, 5))]
+    default = [run_census(label, nr, (-1, None)) for label, nr in cases]
+    signed = census._signed
+    calls = []
+
+    def counting(space, xs, n):
+        calls.append(len(xs))
+        return signed(space, xs, n)
+
+    monkeypatch.setattr(census, "_CHUNK", 1 << 10)
+    monkeypatch.setattr(census, "_HOLD_LIMIT", 1 << 4)
+    monkeypatch.setattr(census, "_signed", counting)
+    for (label, nr), want in zip(cases, default):
+        got = run_census(label, nr, (-1, None))
+        assert got.counts == want.counts, label
+        assert family_keyset(got) == family_keyset(want), label
+    classes = sum(sum(r.counts.values()) for r in default)
+    assert sum(calls) > 2 * classes  # chunks were signed again per pass
+
+
+@pytest.mark.parametrize("hold_limit", [1 << 26, 2])
+@pytest.mark.parametrize("wrong", [3, 5])  # the 5-cycle has 4 classes
+def test_engine_rejects_a_count_the_rep_scan_disagrees_with(monkeypatch, hold_limit, wrong):
+    monkeypatch.setattr(census, "_HOLD_LIMIT", hold_limit)
+    monkeypatch.setattr(CycleSpace, "count", lambda self: wrong)
+    with pytest.raises(LengthMismatch):
+        run_census("cycles", (5, 5))
+
+
+def _scalar_reps(space, domain) -> list[int]:
+    return [x for x in domain if space.orbit_min(x) == x]
+
+
+def test_rep_scans_match_scalar_orbit_minima():
+    for n in range(1, 11):
+        space = PathSpace(n)
+        assert space.reps() == _scalar_reps(space, range(1 << (n - 1)))
+    for n in range(3, 11):
+        space = CycleSpace(n)
+        assert space.reps() == _scalar_reps(space, range(1 << n))
+    for n in range(3, 8):
+        space = CycleSpace(n, digons=True)
+        domain = sorted(space.from_letters(w) for w in product(range(3), repeat=n))
+        assert space.reps() == _scalar_reps(space, domain)
+    for n in range(1, 6):
+        for u in gen_underlying_graphs(n):
+            space = OrientationSpace(u)
+            scalar = _scalar_reps(space, range(1 << space.m))
+            assert space.reps() == scalar
+            marked = space._reps_batch_marking(space.domain_total)
+            assert [int(x) for xs in marked for x in xs] == scalar
+
+
+def test_orientation_count_matches_the_rep_scan():
+    for n in range(1, 7):
+        for u in gen_underlying_graphs(n):
+            space = OrientationSpace(u)
+            assert space.count() == len(space.reps_array())
 
 
 def test_reduced_engine_misses_only_the_union_pairs_at_small_order():

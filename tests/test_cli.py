@@ -157,6 +157,15 @@ def test_cycles_scans_all_rotations_by_default(capsys):
     assert all(line.endswith("W={} dist={}") for line in lines)
 
 
+def test_merge_rejects_a_repeated_shard(capsys, tmp_path):
+    rc, out, _ = run(capsys, "families", "cycles", "3..6", "--json", "--shard", "0/2")
+    assert rc == cli.EXIT_OK
+    path = tmp_path / "shard0.json"
+    path.write_text(out)
+    rc, _, err = run(capsys, "merge", str(path), str(path))
+    assert rc == cli.EXIT_USAGE and "error:" in err
+
+
 def test_verify_figures(capsys):
     rc, out, _ = run(capsys, "verify-figures")
     assert rc == cli.EXIT_OK

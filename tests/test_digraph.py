@@ -11,7 +11,6 @@ from switchdeck.digraph import (
     VertexSet,
     apply_perm,
     components,
-    count_components_iso,
     disjoint_union,
     format_digraph6,
     from_arcs,
@@ -24,7 +23,6 @@ from switchdeck.digraph import (
 from switchdeck.errors import (
     LoopArc,
     MalformedHeader,
-    NotConnected,
     VertexOutOfRange,
 )
 
@@ -97,14 +95,6 @@ def test_union_of_components_restores_graph_up_to_block_order(g):
     parts = components(g).parts
     assert sum(p.n for p in parts) == g.n
     assert all(is_weakly_connected(p) for p in parts)
-
-
-def test_count_components_iso():
-    g = disjoint_union(K1, K1, ARC)
-    assert count_components_iso(g, K1) == 2
-    assert count_components_iso(g, ARC) == 1
-    with pytest.raises(NotConnected):
-        count_components_iso(g, disjoint_union(K1, K1))
 
 
 def test_induced_subgraph():

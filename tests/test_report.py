@@ -1,8 +1,16 @@
 """Family records, search reports, JSON round trips, and shard merging."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import switchdeck
+from switchdeck.census import run_census
 from switchdeck.digraph import from_arcs, parse_digraph6
+from switchdeck.errors import HypothesisUnmet, IsomorphicInputs
 from switchdeck.report import Family, SearchReport, make_family, merge_reports
 
 P4A = from_arcs(4, [(0, 1), (1, 2), (2, 3)])
@@ -16,10 +24,30 @@ def test_make_family_checks_its_claim():
     assert fam.members == tuple(sorted(fam.members))
     assert sorted(fam.strings()) == sorted(
         ["&C?qO", "&CGJ?"]) or len(fam.strings()) == 2
-    with pytest.raises(AssertionError):
+    with pytest.raises(IsomorphicInputs):
         make_family("paths", 0, [P4A, P4A])  # isomorphic members
-    with pytest.raises(AssertionError):
+    with pytest.raises(HypothesisUnmet):
         make_family("paths", 1, [P4A, P4B])  # decks differ at t = 1
+
+
+def test_family_checks_hold_under_python_O():
+    code = (
+        "from switchdeck import SwitchDeckError, make_family, parse_digraph6\n"
+        "print(__debug__)\n"
+        "try:\n"
+        "    make_family('x', 0, [parse_digraph6('&BP_'), parse_digraph6('&B?o')])\n"
+        "except SwitchDeckError:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(switchdeck.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "raised"]
+    with pytest.raises(HypothesisUnmet):
+        Family("x", 3, 0, (b"b", b"a"))  # unsorted members
 
 
 def test_family_round_trips_through_strings():
@@ -84,5 +112,42 @@ def test_merge_reports_unions_families_and_adds_counts():
     assert merged.counts == {4: 10, 5: 10}
     assert merged.families_at(4) == [fam]
     assert merged.families_at(5) == []
-    with pytest.raises(AssertionError):
+    with pytest.raises(HypothesisUnmet):
         merge_reports([])
+
+
+@pytest.fixture(scope="module")
+def cycle_shards():
+    return [run_census("cycles", (3, 6), (-1, None), shard=(i, 2)) for i in range(2)]
+
+
+def test_report_carries_its_shard(cycle_shards):
+    a, b = cycle_shards
+    assert (a.shard, b.shard) == ((0, 2), (1, 2))
+    assert a.to_dict()["shard"] == [0, 2]
+    assert SearchReport.from_json(a.to_json()).shard == (0, 2)
+    whole = run_census("cycles", (3, 6), (-1, None))
+    assert whole.shard is None and "shard" not in whole.to_dict()
+    merged = merge_reports(cycle_shards)
+    assert merged.shard is None
+    assert merged.counts == whole.counts
+    assert sorted(f.members for f in merged.families) == \
+        sorted(f.members for f in whole.families)
+
+
+def test_merge_rejects_anything_but_one_complete_shard_set(cycle_shards):
+    a, b = cycle_shards
+    with pytest.raises(HypothesisUnmet):
+        merge_reports([a, a])  # repeated index: counts would double
+    with pytest.raises(HypothesisUnmet):
+        merge_reports([a])  # index 1 missing
+    with pytest.raises(HypothesisUnmet):
+        merge_reports([a, b, run_census("cycles", (3, 6), (-1, None), shard=(2, 3))])
+    with pytest.raises(HypothesisUnmet):
+        merge_reports([a, run_census("cycles", (3, 6), (-1, None))])
+    with pytest.raises(HypothesisUnmet):
+        merge_reports([a, run_census("cycles", (3, 6), (0, 0), shard=(1, 2))])
+    with pytest.raises(HypothesisUnmet):
+        merge_reports([a, run_census("paths", (3, 6), (-1, None), shard=(1, 2))])
+    with pytest.raises(HypothesisUnmet):
+        merge_reports([a, run_census("cycles", (3, 7), (-1, None), shard=(1, 2))])
