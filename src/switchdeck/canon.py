@@ -248,12 +248,12 @@ class OrientationSpace:
     one labelled orientation per isomorphism class.
     """
 
-    def __init__(self, u: UnderlyingGraph, aut: AutGroup | None = None):
+    def __init__(self, u: UnderlyingGraph):
         self.u = u
         self.n = u.n
         self.edges = edge_list(u)
         self.m = len(self.edges)
-        self.aut = aut if aut is not None else aut_group_undirected(u)
+        self.aut = aut_group_undirected(u)
         index = {e: i for i, e in enumerate(self.edges)}
         # per non-identity automorphism: bit position tables for the action
         self.actions: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []

@@ -22,8 +22,7 @@ underlying classes.
 from __future__ import annotations
 
 import time
-from functools import lru_cache
-from itertools import chain, combinations_with_replacement, product
+from itertools import chain
 from math import comb
 from typing import Callable, Iterable, Sequence
 
@@ -351,20 +350,6 @@ def _space_census(space, n: int, ts: Sequence[int], label: str) -> tuple[list[Fa
 # ---------------------------------------------------------------------------
 # max-degree-2 engine
 
-@lru_cache(maxsize=256)
-def _part_reps(kind: str, k: int) -> tuple[int, ...]:
-    return tuple(generate._part_space((kind, k)).reps())
-
-
-def _comp_digraph(comp: tuple[str, int, int]) -> Digraph:
-    kind, k, x = comp
-    return generate._part_space((kind, k)).digraph(x)
-
-
-def _build_union(comps: Sequence[tuple[str, int, int]]) -> Digraph:
-    return disjoint_union(*[_comp_digraph(c) for c in comps])
-
-
 def _shape_tasks(n: int, ts: Sequence[int]) -> list[Callable[[], tuple[list[Family], int]]]:
     tasks = []
     for shape in generate.maxdeg2_shapes(n):
@@ -379,19 +364,11 @@ def _census_one_shape(n: int, shape, ts: Sequence[int]) -> tuple[list[Family], i
     disjoint union, and each card only replaces one component by its switched
     class, so decks are computed without ever materializing labelled graphs.
     """
-    groups = generate._part_groups(shape)
-    reps_per_group = [
-        list(combinations_with_replacement(_part_reps(kind, k), mult))
-        for (kind, k), mult in groups
-    ]
     entries = []
-    for choice in product(*reps_per_group):
-        comps: list[tuple[str, int, int]] = []
-        for ((kind, k), _), picks in zip(groups, choice):
-            comps.extend((kind, k, x) for x in picks)
+    for comps in generate._shape_classes(shape):
         key = tuple(sorted(comps))
         deck: dict[tuple, int] = {}
-        seen_mult: dict[tuple[str, int, int], int] = {}
+        seen_mult: dict[generate.Comp, int] = {}
         for c in comps:
             seen_mult[c] = seen_mult.get(c, 0) + 1
         base = list(key)
@@ -422,7 +399,7 @@ def _census_one_shape(n: int, shape, ts: Sequence[int]) -> tuple[list[Family], i
             buckets.setdefault(bucket_key, []).append(key)
         for _, keys in sorted(buckets.items()):
             if len(keys) >= 2:
-                families.append(make_family("maxdeg2", t, [_build_union(k) for k in keys]))
+                families.append(make_family("maxdeg2", t, [generate._union(k) for k in keys]))
     return families, len(entries)
 
 
@@ -500,7 +477,7 @@ def _census_tournaments(n: int, ts: Sequence[int]) -> tuple[list[Family], int]:
     families = []
     for t in ts:
         for grp in group_by_deck(graphs, t):
-            families.append(make_family("tournaments", t, grp, verify=False))
+            families.append(make_family("tournaments", t, grp))
     return families, len(graphs)
 
 

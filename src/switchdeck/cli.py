@@ -39,13 +39,9 @@ EXIT_DICHOTOMY = 5
 
 # class -> (n_min, n_max, heavy_over) for graph streaming
 GEN_BOUNDS = {
-    "paths": CLASS_BOUNDS["paths"],
-    "cycles": CLASS_BOUNDS["cycles"],
-    "digon-cycles": CLASS_BOUNDS["digon-cycles"],
+    **CLASS_BOUNDS,
     "maxdeg2": (1, 16, 16),
-    "tournaments": (1, 8, 8),
-    "all-oriented": (1, 8, 7),
-    "underlying": (1, 8, 8),
+    "underlying": (1, generate.UNDERLYING_MAX_N, generate.UNDERLYING_MAX_N),
 }
 
 

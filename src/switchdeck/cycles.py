@@ -15,7 +15,7 @@ from typing import Iterator
 
 from . import spaces
 from .digraph import Digraph, Permutation, VertexSet
-from .errors import HypothesisUnmet, NotConnected, TooSmall, WUndefined
+from .errors import HypothesisUnmet, LengthMismatch, NotConnected, TooSmall, WUndefined
 
 FORWARD, BACKWARD, DIGON = 0, 1, 2
 
@@ -30,8 +30,10 @@ class CycleOrientation:
     def __post_init__(self):
         if self.n < 3:
             raise TooSmall(f"cycles need at least 3 vertices, got {self.n}")
-        assert len(self.dirs) == self.n
-        assert all(d in (FORWARD, BACKWARD, DIGON) for d in self.dirs)
+        if len(self.dirs) != self.n:
+            raise LengthMismatch(f"{len(self.dirs)} letters for a {self.n}-cycle")
+        if not all(d in (FORWARD, BACKWARD, DIGON) for d in self.dirs):
+            raise HypothesisUnmet(f"letters must be {FORWARD}, {BACKWARD} or {DIGON}")
 
     @property
     def has_digons(self) -> bool:
@@ -118,7 +120,8 @@ class Rotation:
     r: int
 
     def __post_init__(self):
-        assert self.n >= 1
+        if self.n < 1:
+            raise TooSmall(f"rotations need at least 1 vertex, got {self.n}")
         object.__setattr__(self, "r", self.r % self.n)
 
     def as_permutation(self) -> Permutation:
@@ -245,7 +248,8 @@ def verify_w_size_reconstruction(co: CycleOrientation, rot: Rotation) -> dict:
     card_sizes = []
     for v in range(n):
         wv = find_W(co.switched(v), rot)
-        assert wv is not None, "cards must keep a well-defined small solution"
+        if wv is None:
+            raise WUndefined(f"card {v} has no unique small switching set")
         card_sizes.append(len(wv))
     recon = max(card_sizes) - 2
     return {

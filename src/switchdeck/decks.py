@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .canon import CanonicalCode, canonical_code, code_to_digraph
 from .digraph import Digraph, format_digraph6
-from .errors import CardAbsent, IsomorphicInputs, OrderMismatch
+from .errors import CardAbsent, HypothesisUnmet, IsomorphicInputs, OrderMismatch
 from .switching import switch_vertex
 
 
@@ -78,7 +78,8 @@ def matching_t(g: Digraph, h: Digraph) -> int | None:
                 matches.append(t)
         except CardAbsent:
             continue
-    assert len(matches) <= 1, f"multiple matching t values {matches}"
+    if len(matches) > 1:
+        raise HypothesisUnmet(f"multiple matching t values {matches}")
     return matches[0] if matches else None
 
 

@@ -2,15 +2,17 @@
 
 Each generator lazily yields one labelled representative per isomorphism
 class, in a deterministic order.  Orientation classes of a fixed underlying
-shape come from orbit-minimal integers; labelled-graph dedup elsewhere goes
-through canonical codes.
+shape come from orbit-minimal integers.  Tournaments and undirected graphs
+grow level by level, a vertex or an edge at a time: each level keeps the
+first child per canonical code, its parents taken in code order, and is
+sorted by code.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
-from typing import Iterator
+from itertools import chain, combinations_with_replacement, groupby, product
+from typing import Callable, Iterable, Iterator
 
 from . import canon, spaces
 from .digraph import Digraph, UnderlyingGraph, disjoint_union
@@ -96,35 +98,57 @@ def _part_space(part: Part):
     return spaces.PathSpace(k) if kind == "p" else spaces.CycleSpace(k)
 
 
-def _part_groups(shape: tuple[Part, ...]) -> list[tuple[Part, int]]:
-    groups: list[tuple[Part, int]] = []
-    for part in shape:
-        if groups and groups[-1][0] == part:
-            groups[-1] = (part, groups[-1][1] + 1)
-        else:
-            groups.append((part, 1))
-    return groups
+# one orientation class of a part, as (kind, k, orbit-minimal integer)
+Comp = tuple[str, int, int]
+
+
+@lru_cache(maxsize=64)
+def _part_comps(part: Part) -> tuple[Comp, ...]:
+    kind, k = part
+    return tuple((kind, k, x) for x in _part_space(part).reps())
+
+
+def _shape_classes(shape: tuple[Part, ...]) -> Iterator[tuple[Comp, ...]]:
+    """Each orientation class of a shape as its component classes.
+
+    Two disjoint unions are isomorphic exactly when their component class
+    multisets agree, so combinations with replacement of each run of equal
+    parts hit every class once.
+    """
+    runs = [combinations_with_replacement(_part_comps(part), len(list(same)))
+            for part, same in groupby(shape)]
+    for choice in product(*runs):
+        yield tuple(chain.from_iterable(choice))
+
+
+def _union(comps: Iterable[Comp]) -> Digraph:
+    return disjoint_union(*[_part_space((kind, k)).digraph(x) for kind, k, x in comps])
 
 
 def gen_oriented_maxdeg2(n: int) -> Iterator[Digraph]:
-    """One representative per orientation class over all max-degree-2 shapes.
-
-    Two disjoint unions are isomorphic exactly when their component class
-    multisets agree, so combinations with replacement of per-part class
-    representatives hit every class once.
-    """
+    """One representative per orientation class over all max-degree-2 shapes."""
     for shape in maxdeg2_shapes(n):
-        groups = _part_groups(shape)
-        reps_per_group = []
-        for part, mult in groups:
-            reps = _part_space(part).reps()
-            reps_per_group.append(list(combinations_with_replacement(reps, mult)))
-        for choice in product(*reps_per_group):
-            pieces = []
-            for (part, _), picks in zip(groups, choice):
-                space = _part_space(part)
-                pieces.extend(space.digraph(x) for x in picks)
-            yield disjoint_union(*pieces)
+        for comps in _shape_classes(shape):
+            yield _union(comps)
+
+
+def _next_level(level: list[Digraph],
+                children: Callable[[Digraph], Iterable[Digraph]]) -> list[Digraph]:
+    """The first child per canonical code, parents taken in order, sorted by code."""
+    nxt: dict[bytes, Digraph] = {}
+    for parent in level:
+        for child in children(parent):
+            nxt.setdefault(canon.canonical_code(child), child)
+    return [child for _, child in sorted(nxt.items())]
+
+
+def _vertex_children(g: Digraph) -> Iterator[Digraph]:
+    """Every tournament on one more vertex that restricts to g."""
+    k = g.n + 1
+    for pattern in range(1 << (k - 1)):
+        out = [g.out[v] | (0 if pattern >> v & 1 else 1 << (k - 1)) for v in range(k - 1)]
+        out.append(pattern)
+        yield Digraph(k, tuple(out))
 
 
 def gen_tournaments(n: int) -> Iterator[Digraph]:
@@ -133,83 +157,48 @@ def gen_tournaments(n: int) -> Iterator[Digraph]:
         raise TooSmall(f"need at least 1 vertex, got {n}")
     if n > TOURNAMENT_MAX_N:
         raise TooLarge(f"order {n} exceeds tournament cap {TOURNAMENT_MAX_N}")
-    level: dict[bytes, Digraph] = {canon.canonical_code(Digraph(1, (0,))): Digraph(1, (0,))}
-    for k in range(2, n + 1):
-        nxt: dict[bytes, Digraph] = {}
-        for _, g in sorted(level.items()):
-            for pattern in range(1 << (k - 1)):
-                out = [g.out[v] | (0 if pattern >> v & 1 else 1 << (k - 1))
-                       for v in range(k - 1)]
-                out.append(pattern)
-                h = Digraph(k, tuple(out))
-                code = canon.canonical_code(h)
-                if code not in nxt:
-                    nxt[code] = h
-        level = nxt
-    for _, g in sorted(level.items()):
-        yield g
+    level = [Digraph(1, (0,))]
+    for _ in range(1, n):
+        level = _next_level(level, _vertex_children)
+    yield from level
 
 
-def _undirected_code(u: UnderlyingGraph) -> bytes:
-    return canon.canonical_code(Digraph(u.n, u.adj))
+def _edge_children(g: Digraph) -> Iterator[Digraph]:
+    """g plus one edge, one child per automorphism orbit of non-edges.
 
-
-def _canonical_edge_orbit(u: UnderlyingGraph) -> frozenset[tuple[int, int]]:
-    """Aut-orbit of the deletion edge singled out by the canonical labelling.
-
-    The choice is the edge whose image under a canonical relabelling is
-    lexicographically last; any two canonical relabellings differ by an
-    automorphism, so the orbit is well defined.
+    g is the symmetric digraph of an undirected graph (every edge a digon).
     """
-    perm = canon.canonical_perm(Digraph(u.n, u.adj))
-    best = None
-    best_edge = None
-    for a, b in u.edges():
-        key = tuple(sorted((perm(a), perm(b))))
-        if best is None or key > best:
-            best = key
-            best_edge = (a, b)
-    assert best_edge is not None
-    orbit = set()
-    for p in canon.aut_group_undirected(u):
-        orbit.add(tuple(sorted((p(best_edge[0]), p(best_edge[1])))))
-    return frozenset(orbit)
+    n = g.n
+    aut = canon.aut_group_undirected(UnderlyingGraph(n, g.out))
+    tried: set[tuple[int, int]] = set()
+    for a in range(n):
+        for b in range(a + 1, n):
+            if g.out[a] >> b & 1 or (a, b) in tried:
+                continue
+            for p in aut:
+                tried.add(tuple(sorted((p(a), p(b)))))
+            out = list(g.out)
+            out[a] |= 1 << b
+            out[b] |= 1 << a
+            yield Digraph(n, tuple(out))
 
 
 def gen_underlying_graphs(n: int) -> Iterator[UnderlyingGraph]:
     """One representative per isomorphism class of undirected graphs.
 
-    Edge augmentation with a canonical-deletion acceptance test: a child is
-    kept only when the edge just added lies in the child's canonical deletion
-    orbit, so every class arrives exactly once and no global dedup is needed.
+    Level-wise edge augmentation: each level holds the classes with one edge
+    more than the last, deduplicated by canonical code (of the symmetric
+    digraph) and sorted by it, so classes arrive by edge count, then code.
     """
     if n < 1:
         raise TooSmall(f"need at least 1 vertex, got {n}")
     if n > UNDERLYING_MAX_N:
         raise TooLarge(f"order {n} exceeds undirected-graph cap {UNDERLYING_MAX_N}")
-    level = [UnderlyingGraph(n, (0,) * n)]
-    yield level[0]
+    level = [Digraph(n, (0,) * n)]
     while level:
-        nxt: list[UnderlyingGraph] = []
-        for u in level:
-            aut = canon.aut_group_undirected(u)
-            seen_orbits: set[tuple[int, int]] = set()
-            for a in range(n):
-                for b in range(a + 1, n):
-                    if u.adj[a] >> b & 1 or (a, b) in seen_orbits:
-                        continue
-                    for p in aut:
-                        seen_orbits.add(tuple(sorted((p(a), p(b)))))
-                    adj = list(u.adj)
-                    adj[a] |= 1 << b
-                    adj[b] |= 1 << a
-                    child = UnderlyingGraph(n, tuple(adj))
-                    if (a, b) in _canonical_edge_orbit(child):
-                        nxt.append(child)
-        nxt.sort(key=_undirected_code)
-        for u in nxt:
-            yield u
-        level = nxt
+        for g in level:
+            yield UnderlyingGraph(n, g.out)
+        level = _next_level(level, _edge_children)
 
 
 def gen_all_oriented(n: int) -> Iterator[Digraph]:

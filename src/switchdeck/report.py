@@ -42,14 +42,13 @@ class Family:
         return {"n": self.n, "t": self.t, "members": self.strings()}
 
 
-def make_family(class_label: str, t: int, graphs: Sequence[Digraph], verify: bool = True) -> Family:
+def make_family(class_label: str, t: int, graphs: Sequence[Digraph]) -> Family:
     codes = sorted({canon.canonical_code(g) for g in graphs})
-    if verify:
-        if len(codes) != len(graphs):
-            raise IsomorphicInputs("family members must be pairwise non-isomorphic")
-        ds = [decks.t_deck(g, t) for g in graphs]
-        if any(d != ds[0] for d in ds[1:]):
-            raise HypothesisUnmet(f"family members must share the {t}-deck")
+    if len(codes) != len(graphs):
+        raise IsomorphicInputs("family members must be pairwise non-isomorphic")
+    ds = [decks.t_deck(g, t) for g in graphs]
+    if any(d != ds[0] for d in ds[1:]):
+        raise HypothesisUnmet(f"family members must share the {t}-deck")
     return Family(class_label, graphs[0].n, t, tuple(codes))
 
 

@@ -34,7 +34,7 @@ from switchdeck.errors import (
     UniverseNotClosed,
 )
 from switchdeck.generate import gen_oriented_maxdeg2, gen_underlying_graphs
-from switchdeck.report import SearchReport, make_family, merge_reports
+from switchdeck.report import Family, SearchReport, merge_reports
 from switchdeck.spaces import CycleSpace, PathSpace
 
 from ._oracles import (
@@ -174,7 +174,8 @@ def test_dichotomy_guard_rejects_adjacent_components():
     bogus = disjoint_union(PATH_FF, PATH_FB)
     other = disjoint_union(PATH_FF, PATH_FF)
     report = SearchReport("maxdeg2", (6, 6), None)
-    report.families = [make_family("maxdeg2", 0, [bogus, other], verify=False)]
+    codes = tuple(sorted(canonical_code(g) for g in (bogus, other)))
+    report.families = [Family("maxdeg2", 6, 0, codes)]
     with pytest.raises(DichotomyViolated):
         _check_dichotomy(report)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from switchdeck.canon import canonical_code
-from switchdeck.digraph import is_connected, underlying
+from switchdeck.digraph import Digraph, is_connected, underlying
 from switchdeck.errors import TooLarge, TooSmall
 from switchdeck.generate import (
     gen_all_oriented,
@@ -88,6 +88,9 @@ def test_tournament_generator_counts(n):
 def test_underlying_generator_counts(n):
     us = list(gen_underlying_graphs(n))
     assert len(us) == GRAPHS[n]
+    keys = [(u.edge_count(), canonical_code(Digraph(n, u.adj))) for u in us]
+    assert len(distinct_codes(Digraph(n, u.adj) for u in us)) == len(us)
+    assert keys == sorted(keys)
     assert sum(1 for u in us if is_connected(u)) == \
         _oracles.count_connected_graphs(n)
 

@@ -33,11 +33,18 @@ def test_make_family_checks_its_claim():
 def test_family_checks_hold_under_python_O():
     code = (
         "from switchdeck import SwitchDeckError, make_family, parse_digraph6\n"
+        "from switchdeck.cycles import CycleOrientation, Rotation\n"
         "print(__debug__)\n"
-        "try:\n"
-        "    make_family('x', 0, [parse_digraph6('&BP_'), parse_digraph6('&B?o')])\n"
-        "except SwitchDeckError:\n"
-        "    print('raised')\n"
+        "for call in (\n"
+        "    lambda: make_family('x', 0, [parse_digraph6('&BP_'), parse_digraph6('&B?o')]),\n"
+        "    lambda: CycleOrientation(3, (0, 1)),\n"
+        "    lambda: CycleOrientation(3, (0, 1, 7)),\n"
+        "    lambda: Rotation(-2, 1),\n"
+        "):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except SwitchDeckError:\n"
+        "        print('raised')\n"
     )
     src = str(Path(switchdeck.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -45,7 +52,7 @@ def test_family_checks_hold_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "raised"]
+    assert proc.stdout.split() == ["False"] + ["raised"] * 4
     with pytest.raises(HypothesisUnmet):
         Family("x", 3, 0, (b"b", b"a"))  # unsorted members
 
