@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as _np
 
 from .digraph import Digraph, Permutation, UnderlyingGraph, components, in_masks
 from .errors import TooLarge
-from .spaces import _CHUNK, scan_reps
+from .spaces import _CHUNK
 
 CanonicalCode = bytes
 
@@ -239,6 +239,20 @@ def edge_list(u: UnderlyingGraph) -> list[tuple[int, int]]:
     return sorted(u.edges())
 
 
+class Action(NamedTuple):
+    """One non-identity automorphism acting on orientation integers.
+
+    Output bit dstpos[j] takes input bit srcpos[j], then the bits in flip
+    (edges mapped against their stored direction) are inverted.  tables[k][b]
+    is the image of input byte k holding b, with flip folded into tables[0].
+    """
+
+    srcpos: tuple[int, ...]
+    dstpos: tuple[int, ...]
+    flip: int
+    tables: _np.ndarray
+
+
 class OrientationSpace:
     """Orientations of a fixed underlying graph, as m-bit integers.
 
@@ -252,25 +266,39 @@ class OrientationSpace:
         self.u = u
         self.n = u.n
         self.edges = edge_list(u)
-        self.m = len(self.edges)
+        self.m = m = len(self.edges)
         self.aut = aut_group_undirected(u)
         index = {e: i for i, e in enumerate(self.edges)}
-        # per non-identity automorphism: bit position tables for the action
-        self.actions: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
+        dstpos = tuple(m - 1 - j for j in range(m))
+        perms = []
         for p in self.aut.elements:
             if p.is_identity():
                 continue
             img = p.image
-            srcpos = [0] * self.m
-            flipmask = 0
+            srcpos = [0] * m
+            flip = 0
             for i, (a, b) in enumerate(self.edges):
                 a2, b2 = img[a], img[b]
                 j = index[(a2, b2)] if a2 < b2 else index[(b2, a2)]
-                srcpos[j] = self.m - 1 - i
+                srcpos[j] = m - 1 - i
                 if a2 > b2:
-                    flipmask |= 1 << (self.m - 1 - j)
-            dstpos = tuple(self.m - 1 - j for j in range(self.m))
-            self.actions.append((tuple(srcpos), dstpos, flipmask))
+                    flip |= 1 << (m - 1 - j)
+            perms.append((tuple(srcpos), flip))
+        # one 256-entry table per input byte, at least one so that an
+        # edgeless space still maps everything to 0
+        nbytes = max(1, -(-m // 8))
+        src = _np.array([srcpos for srcpos, _ in perms], dtype=_np.intp).reshape(len(perms), m)
+        bit_image = _np.zeros((len(perms), 8 * nbytes), dtype=_np.uint64)
+        dstbit = _np.uint64(1) << _np.array(dstpos, dtype=_np.uint64)
+        bit_image[_np.arange(len(perms))[:, None], src] = dstbit
+        bit_image = bit_image.reshape(len(perms), nbytes, 8)
+        tables = _np.zeros((len(perms), nbytes, 256), dtype=_np.uint64)
+        for t in range(8):
+            h = 1 << t
+            _np.bitwise_xor(tables[:, :, :h], bit_image[:, :, t, None], out=tables[:, :, h:2 * h])
+        tables[:, 0, :] ^= _np.array([flip for _, flip in perms], dtype=_np.uint64)[:, None]
+        self.actions = [Action(srcpos, dstpos, flip, tables[a])
+                        for a, (srcpos, flip) in enumerate(perms)]
         self.switch_masks = []
         for v in range(self.n):
             sm = 0
@@ -283,12 +311,11 @@ class OrientationSpace:
     def domain_total(self) -> int:
         return 1 << self.m
 
-    def act(self, action, x: int) -> int:
-        srcpos, dstpos, flipmask = action
+    def act(self, action: Action, x: int) -> int:
         y = 0
-        for s, d in zip(srcpos, dstpos):
+        for s, d in zip(action.srcpos, action.dstpos):
             y |= (x >> s & 1) << d
-        return y ^ flipmask
+        return y ^ action.flip
 
     def orbit_min(self, x: int) -> int:
         best = x
@@ -298,13 +325,14 @@ class OrientationSpace:
                 best = y
         return best
 
-    def act_array(self, action, xs):
-        srcpos, dstpos, flipmask = action
-        one = _np.uint64(1)
-        y = _np.zeros_like(xs)
-        for s, d in zip(srcpos, dstpos):
-            y |= ((xs >> _np.uint64(s)) & one) << _np.uint64(d)
-        return y ^ _np.uint64(flipmask)
+    def act_array(self, action: Action, xs):
+        """act over a uint64 array: one table lookup per input byte."""
+        b = _np.ascontiguousarray(xs, dtype="<u8").view(_np.uint8)
+        tables = action.tables
+        y = tables[0][b[0::8]]
+        for k in range(1, len(tables)):
+            y ^= tables[k][b[k::8]]
+        return y
 
     def orbit_min_array(self, xs):
         best = xs.copy()
@@ -329,8 +357,8 @@ class OrientationSpace:
         even number of flipped positions, and then fixes 2^cycles of them.
         """
         fixed = 1 << self.m
-        for srcpos, dstpos, flipmask in self.actions:
-            succ = dict(zip(srcpos, dstpos))
+        for action in self.actions:
+            succ = dict(zip(action.srcpos, action.dstpos))
             seen = 0
             cycles = 0
             for start in range(self.m):
@@ -341,7 +369,7 @@ class OrientationSpace:
                 pos = start
                 while not seen >> pos & 1:
                     seen |= 1 << pos
-                    parity ^= flipmask >> pos & 1
+                    parity ^= action.flip >> pos & 1
                     pos = succ[pos]
                 if parity:
                     break
@@ -352,15 +380,18 @@ class OrientationSpace:
     def rep_chunks(self, chunk: int = _CHUNK) -> Iterator:
         """Orbit-minimal orientation integers, ascending, in chunks.
 
-        Small groups get a full-domain scan.  When |group| * 2^m is large the
-        scan is replaced by batch marking: each batch of the lowest unmarked
-        integers has its orbits computed once and marked off, so total work is
-        about one pass over the domain regardless of group order.
+        Each chunk of the domain shrinks action by action: an x stays only
+        while its image under every action so far is not below it, and is
+        dropped from the array before the next action.  Almost every x has a
+        smaller image under one of the first few actions, so the scan costs
+        about one pass over the domain whatever the group order.
         """
         total = 1 << self.m
-        if total * len(self.actions) <= 1 << 32:
-            return scan_reps(self, chunk)
-        return self._reps_batch_marking(total)
+        for start in range(0, total, chunk):
+            xs = self.domain_chunk(start, min(start + chunk, total))
+            for action in self.actions:
+                xs = xs[self.act_array(action, xs) >= xs]
+            yield xs
 
     def reps_array(self):
         """Orbit-minimal orientation integers as an ascending uint64 array."""
@@ -368,41 +399,6 @@ class OrientationSpace:
 
     def reps(self) -> list[int]:
         return self.reps_array().tolist()
-
-    def _reps_batch_marking(self, total: int) -> Iterator:
-        # Any unmarked x has its whole orbit unmarked (orbits are marked as
-        # units), so its orbit minimum lies in the same ascending batch and the
-        # keep test om(batch) == batch is exact.
-        marked = _np.zeros(total, dtype=bool)
-        ptr = 0
-        batch_cap = 1 << 15
-        scan = 1 << 22
-        while ptr < total:
-            if marked[ptr]:
-                nxt = ptr
-                found = False
-                while nxt < total:
-                    hi = min(nxt + scan, total)
-                    hole = _np.flatnonzero(~marked[nxt:hi])
-                    if hole.size:
-                        nxt += int(hole[0])
-                        found = True
-                        break
-                    nxt = hi
-                if not found:
-                    break
-                ptr = nxt
-            hi = min(ptr + scan, total)
-            batch = ptr + _np.flatnonzero(~marked[ptr:hi])[:batch_cap]
-            batch = batch.astype(_np.uint64)
-            om = batch.copy()
-            marked[batch] = True
-            for action in self.actions:
-                img = self.act_array(action, batch)
-                _np.minimum(om, img, out=om)
-                marked[img] = True
-            yield batch[om == batch]
-            ptr = int(batch[-1]) + 1
 
     def card(self, x: int, v: int) -> int:
         """Class id of the orientation after switching vertex v."""

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import canon, spaces
 from .digraph import Digraph, UnderlyingGraph, disjoint_union
-from .errors import TooLarge, TooSmall
+from .errors import LengthMismatch, TooLarge, TooSmall
 
 TOURNAMENT_MAX_N = 8
 UNDERLYING_MAX_N = 8
@@ -70,6 +70,8 @@ def maxdeg2_shapes(n: int) -> list[tuple[Part, ...]]:
 
 def shape_underlying(n: int, shape: tuple[Part, ...]) -> UnderlyingGraph:
     """The labelled underlying graph of a shape, components on consecutive blocks."""
+    if sum(k for _, k in shape) != n:
+        raise LengthMismatch(f"shape {shape} does not cover {n} vertices")
     adj = [0] * n
     base = 0
     for kind, k in shape:
@@ -82,7 +84,6 @@ def shape_underlying(n: int, shape: tuple[Part, ...]) -> UnderlyingGraph:
             adj[a] |= 1 << b
             adj[b] |= 1 << a
         base += k
-    assert base == n
     return UnderlyingGraph(n, tuple(adj))
 
 

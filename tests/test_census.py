@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from itertools import product
+from itertools import combinations, product
+
+import numpy as np
 
 from switchdeck import catalog, census
 from switchdeck.canon import OrientationSpace, canonical_code, is_isomorphic
@@ -20,7 +22,7 @@ from switchdeck.census import (
     verify_strip_residue,
 )
 from switchdeck.decks import deck
-from switchdeck.digraph import EMPTY, Digraph, disjoint_union, from_arcs
+from switchdeck.digraph import EMPTY, Digraph, apply_perm, disjoint_union, from_arcs, underlying
 from switchdeck.errors import (
     DichotomyViolated,
     HeavyFlagRequired,
@@ -311,8 +313,33 @@ def test_rep_scans_match_scalar_orbit_minima():
             space = OrientationSpace(u)
             scalar = _scalar_reps(space, range(1 << space.m))
             assert space.reps() == scalar
-            marked = space._reps_batch_marking(space.domain_total)
-            assert [int(x) for xs in marked for x in xs] == scalar
+
+
+def test_orientation_rep_scan_on_a_large_group():
+    # K7: 5,039 non-identity actions over 2^21 orientations
+    space = OrientationSpace(underlying(from_arcs(7, list(combinations(range(7), 2)))))
+    assert len(space.actions) == 5039
+    assert len(space.reps_array()) == space.count() == 456
+
+
+def test_act_array_matches_scalar_act():
+    edgeless_with_actions = 0
+    for n in range(1, 6):
+        for u in gen_underlying_graphs(n):
+            space = OrientationSpace(u)
+            perms = [p for p in space.aut.elements if not p.is_identity()]
+            assert len(space.actions) == len(perms)
+            if n == 1:
+                assert not space.actions
+            edgeless_with_actions += space.m == 0 and bool(space.actions)
+            domain = range(space.domain_total)
+            xs = np.arange(space.domain_total, dtype=np.uint64)
+            for perm, action in zip(perms, space.actions):
+                want = [space.act(action, x) for x in domain]
+                assert space.act_array(action, xs).tolist() == want
+                for x in (0, domain[-1]):
+                    assert space.digraph(want[x]) == apply_perm(space.digraph(x), perm)
+    assert edgeless_with_actions == 4  # n = 2..5
 
 
 def test_orientation_count_matches_the_rep_scan():

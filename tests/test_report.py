@@ -34,12 +34,15 @@ def test_family_checks_hold_under_python_O():
     code = (
         "from switchdeck import SwitchDeckError, make_family, parse_digraph6\n"
         "from switchdeck.cycles import CycleOrientation, Rotation\n"
+        "from switchdeck.generate import shape_underlying\n"
         "print(__debug__)\n"
         "for call in (\n"
         "    lambda: make_family('x', 0, [parse_digraph6('&BP_'), parse_digraph6('&B?o')]),\n"
         "    lambda: CycleOrientation(3, (0, 1)),\n"
         "    lambda: CycleOrientation(3, (0, 1, 7)),\n"
         "    lambda: Rotation(-2, 1),\n"
+        "    lambda: shape_underlying(3, (('p', 2),)),\n"
+        "    lambda: shape_underlying(2, (('p', 2), ('p', 1))),\n"
         "):\n"
         "    try:\n"
         "        call()\n"
@@ -52,7 +55,7 @@ def test_family_checks_hold_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"] + ["raised"] * 4
+    assert proc.stdout.split() == ["False"] + ["raised"] * 6
     with pytest.raises(HypothesisUnmet):
         Family("x", 3, 0, (b"b", b"a"))  # unsorted members
 
