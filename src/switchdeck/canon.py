@@ -17,7 +17,7 @@ import numpy as _np
 
 from .digraph import Digraph, Permutation, UnderlyingGraph, components, in_masks
 from .errors import TooLarge
-from .spaces import _CHUNK
+from .spaces import _CHUNK, concat_reps, index_chunk
 
 CanonicalCode = bytes
 
@@ -311,22 +311,9 @@ class OrientationSpace:
     def domain_total(self) -> int:
         return 1 << self.m
 
-    def act(self, action: Action, x: int) -> int:
-        y = 0
-        for s, d in zip(action.srcpos, action.dstpos):
-            y |= (x >> s & 1) << d
-        return y ^ action.flip
-
-    def orbit_min(self, x: int) -> int:
-        best = x
-        for action in self.actions:
-            y = self.act(action, x)
-            if y < best:
-                best = y
-        return best
-
     def act_array(self, action: Action, xs):
-        """act over a uint64 array: one table lookup per input byte."""
+        """The action's image of each orientation in a uint64 array: one
+        table lookup per input byte."""
         b = _np.ascontiguousarray(xs, dtype="<u8").view(_np.uint8)
         tables = action.tables
         y = tables[0][b[0::8]]
@@ -343,11 +330,7 @@ class OrientationSpace:
     def switched_array(self, xs, v: int):
         return xs ^ _np.uint64(self.switch_masks[v])
 
-    def switched(self, x: int, v: int) -> int:
-        return x ^ self.switch_masks[v]
-
-    def domain_chunk(self, start: int, stop: int):
-        return _np.arange(start, stop, dtype=_np.uint64)
+    domain_chunk = index_chunk
 
     def count(self) -> int:
         """Class count by Burnside's lemma over the automorphism actions.
@@ -393,16 +376,7 @@ class OrientationSpace:
                 xs = xs[self.act_array(action, xs) >= xs]
             yield xs
 
-    def reps_array(self):
-        """Orbit-minimal orientation integers as an ascending uint64 array."""
-        return _np.concatenate(list(self.rep_chunks()))
-
-    def reps(self) -> list[int]:
-        return self.reps_array().tolist()
-
-    def card(self, x: int, v: int) -> int:
-        """Class id of the orientation after switching vertex v."""
-        return self.orbit_min(x ^ self.switch_masks[v])
+    reps_array = concat_reps
 
     def digraph(self, x: int) -> Digraph:
         out = [0] * self.n

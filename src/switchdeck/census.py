@@ -52,6 +52,7 @@ from .errors import (
     UniverseNotClosed,
 )
 from .report import Family, SearchReport, make_family
+from .spaces import _CHUNK
 from .stability import is_switching_stable, is_switching_stable_set
 from .switching import switch_vertex
 
@@ -65,7 +66,6 @@ CLASS_BOUNDS: dict[str, tuple[int, int, int]] = {
     "all-oriented": (1, 8, 7),
 }
 
-_CHUNK = 1 << 22        # domain indices scanned per representative chunk
 _HOLD_LIMIT = 1 << 26   # spaces with more classes regenerate their chunks per pass
 
 # every work unit yields families plus per-order class counts
@@ -244,10 +244,13 @@ def _adjusted_key(cards: list[int], own: int, t: int) -> tuple[int, ...] | None:
     return tuple(key)
 
 
-def _verify_candidates(space, cand: Sequence[int], n: int, t: int, label: str) -> list[Family]:
+def _verify_candidates(space, cand: Sequence[int], t: int, label: str) -> list[Family]:
+    """Regroup signature candidates by their exact sorted card lists."""
+    cards = spaces.card_table(space, _np.array(cand, dtype=_np.uint64))
+    cards.sort(axis=1)
     buckets: dict[tuple[int, ...], list[int]] = {}
-    for x in cand:
-        key = _adjusted_key(sorted(space.card(x, v) for v in range(n)), x, t)
+    for x, row in zip(cand, cards.tolist()):
+        key = _adjusted_key(row, x, t)
         if key is not None:
             buckets.setdefault(key, []).append(x)
     out = []
@@ -343,7 +346,7 @@ def _space_census(space, n: int, ts: Sequence[int], label: str) -> tuple[list[Fa
         for chunk in chunks():
             pool, key = _keyed(chunk, t)
             cand.extend(pool[_np.isin(key, dups)].tolist())
-        families.extend(_verify_candidates(space, cand, n, t, label))
+        families.extend(_verify_candidates(space, cand, t, label))
     return families, count
 
 

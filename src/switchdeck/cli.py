@@ -25,10 +25,11 @@ from .errors import (
     CardAbsent,
     DichotomyViolated,
     HeavyFlagRequired,
+    RangeTooLarge,
     SwitchDeckError,
 )
 from .report import SearchReport, merge_reports
-from .stability import classify_stable_connected, gamma_group
+from .stability import STABLE_SCAN_MAX_N, classify_stable_connected, gamma_group
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -146,6 +147,9 @@ def _cmd_families(args) -> int:
 
 def _cmd_stable(args) -> int:
     lo, hi = _parse_n_range(args.n_range)
+    if not 1 <= lo <= hi <= STABLE_SCAN_MAX_N:
+        raise RangeTooLarge(f"stable classification supports 1..{STABLE_SCAN_MAX_N}, "
+                            f"got {lo}..{hi}")
     if hi > 7 and not args.heavy:
         raise HeavyFlagRequired("stable classification above order 7 needs --heavy")
     total = 0

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator
 
+import numpy as _np
+
 from . import spaces
 from .digraph import Digraph, Permutation, VertexSet
 from .errors import HypothesisUnmet, LengthMismatch, NotConnected, TooSmall, WUndefined
@@ -109,7 +111,8 @@ class CycleOrientation:
 
     def class_int(self) -> int:
         space = spaces.CycleSpace(self.n, digons=self.has_digons)
-        return space.orbit_min(space.from_letters(self.dirs))
+        x = _np.array([space.from_letters(self.dirs)], dtype=_np.uint64)
+        return int(space.orbit_min_array(x)[0])
 
 
 @dataclass(frozen=True, slots=True)

@@ -25,7 +25,7 @@ UNDERLYING_MAX_N = 8
 def gen_oriented_paths(n: int) -> Iterator[Digraph]:
     """One representative per orientation class of the n-vertex path."""
     space = spaces.PathSpace(n)
-    for x in space.reps():
+    for x in space.reps_array().tolist():
         yield space.digraph(x)
 
 
@@ -35,7 +35,7 @@ def gen_oriented_cycles(n: int, digons: bool = False) -> Iterator[Digraph]:
     With digons=True each edge may also carry arcs both ways.
     """
     space = spaces.CycleSpace(n, digons=digons)
-    for x in space.reps():
+    for x in space.reps_array().tolist():
         yield space.digraph(x)
 
 
@@ -106,7 +106,7 @@ Comp = tuple[str, int, int]
 @lru_cache(maxsize=64)
 def _part_comps(part: Part) -> tuple[Comp, ...]:
     kind, k = part
-    return tuple((kind, k, x) for x in _part_space(part).reps())
+    return tuple((kind, k, x) for x in spaces.tabulated_reps(_part_space(part)))
 
 
 def _shape_classes(shape: tuple[Part, ...]) -> Iterator[tuple[Comp, ...]]:
@@ -206,5 +206,5 @@ def gen_all_oriented(n: int) -> Iterator[Digraph]:
     """One representative per orientation class over every underlying graph."""
     for u in gen_underlying_graphs(n):
         space = canon.OrientationSpace(u)
-        for x in space.reps():
+        for x in space.reps_array().tolist():
             yield space.digraph(x)

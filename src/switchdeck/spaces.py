@@ -8,10 +8,24 @@ into integers with letter 0 in the most significant slot, so integer order
 is lexicographic order.  Class representatives are orbit minima under the
 relabelling group: string reversal composes with direction complement, and
 cycles additionally rotate.
+
+PathSpace, CycleSpace and canon.OrientationSpace share one protocol, whose
+class arithmetic all runs on uint64 arrays:
+
+- domain_total, and domain_chunk(start, stop): the strings at domain
+  indices [start, stop), ascending;
+- orbit_min_array(xs): each string's orbit minimum, an exact class id;
+- switched_array(xs, v): each string with vertex v switched;
+- rep_chunks(chunk) and reps_array(): the orbit minima, ascending;
+- count(): the class count, without a scan; digraph(x): one string's digraph.
+
+PathSpace and CycleSpace also read single cards, card(x, v), from a table
+that tabulated_reps builds once per space with the same array kernels.
 """
 
 from __future__ import annotations
 
+from array import array
 from math import gcd
 from typing import Iterable, Iterator
 
@@ -22,28 +36,10 @@ from .errors import TooSmall
 
 _CHUNK = 1 << 22
 
-_REV1 = None
-_REV2 = None
-
-
-def _byte_tables():
-    """Lazy 256-entry tables reversing bits / bit-pairs within a byte."""
-    global _REV1, _REV2
-    if _REV1 is None:
-        r1 = [0] * 256
-        r2 = [0] * 256
-        for b in range(256):
-            v1 = 0
-            for i in range(8):
-                v1 |= (b >> i & 1) << (7 - i)
-            r1[b] = v1
-            v2 = 0
-            for i in range(4):
-                v2 |= (b >> (2 * i) & 3) << (2 * (3 - i))
-            r2[b] = v2
-        _REV1 = _np.array(r1, dtype=_np.uint64)
-        _REV2 = _np.array(r2, dtype=_np.uint64)
-    return _REV1, _REV2
+# 256-entry tables reversing the bits, and the bit pairs, within a byte
+_REV1 = _np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=_np.uint64)
+_REV2 = _np.array([sum((b >> 2 * i & 3) << 2 * (3 - i) for i in range(4)) for b in range(256)],
+                  dtype=_np.uint64)
 
 
 def scan_reps(space, chunk: int = _CHUNK) -> Iterator:
@@ -56,9 +52,46 @@ def scan_reps(space, chunk: int = _CHUNK) -> Iterator:
         yield xs[space.orbit_min_array(xs) == xs]
 
 
+def concat_reps(space):
+    """Orbit minima as an ascending uint64 array."""
+    return _np.concatenate(list(space.rep_chunks()))
+
+
+def index_chunk(space, start: int, stop: int):
+    """Domain chunk of a space whose domain index is the string itself."""
+    return _np.arange(start, stop, dtype=_np.uint64)
+
+
+def card_table(space, xs):
+    """Row i holds the class ids of the n cards of xs[i]: the orbit minima of
+    its single-vertex switches, which are exact class ids."""
+    return _np.stack([space.orbit_min_array(space.switched_array(xs, v))
+                      for v in range(space.n)], axis=1)
+
+
+def tabulated_reps(space) -> list[int]:
+    """The space's orbit minima, ascending; the first call also tabulates
+    the cards of all of them for card(x, v).  Both stay on the space object,
+    so this suits small spaces such as the parts of max-degree-2 graphs."""
+    reps = space.__dict__.get("_reps")
+    if reps is None:
+        xs = space.reps_array()
+        reps = xs.tolist()
+        space._cards = array("Q", card_table(space, xs).tobytes())
+        space._offset = {x: i * space.n for i, x in enumerate(reps)}
+        space._reps = reps
+    return reps
+
+
+def card_of(space, x: int, v: int) -> int:
+    """Class id of the card at vertex v of the orbit minimum x, read from the
+    space's card table."""
+    tabulated_reps(space)
+    return space._cards[space._offset[x] + v]
+
+
 def _reverse64(xs, pairs: bool):
-    t1, t2 = _byte_tables()
-    tab = t2 if pairs else t1
+    tab = _REV2 if pairs else _REV1
     mask = _np.uint64(255)
     acc = _np.zeros_like(xs)
     for k in range(8):
@@ -77,38 +110,11 @@ class PathSpace:
         self.m = n - 1
         self.mask = (1 << self.m) - 1
 
-    def reverse(self, x: int) -> int:
-        """Walk reversal: reverse the string and complement every letter."""
-        y = 0
-        for i in range(self.m):
-            y |= (x >> i & 1 ^ 1) << (self.m - 1 - i)
-        return y
-
-    def orbit_min(self, x: int) -> int:
-        if self.m == 0:
-            return 0
-        return min(x, self.reverse(x))
-
-    def switch_mask(self, v: int) -> int:
-        sm = 0
-        if v > 0:
-            sm |= 1 << (self.m - v)
-        if v < self.n - 1:
-            sm |= 1 << (self.m - 1 - v)
-        return sm
-
-    def card(self, x: int, v: int) -> int:
-        return self.orbit_min(x ^ self.switch_mask(v))
-
-    def reps(self) -> list[int]:
-        return self.reps_array().tolist()
-
     @property
     def domain_total(self) -> int:
         return 1 << self.m
 
-    def domain_chunk(self, start: int, stop: int):
-        return _np.arange(start, stop, dtype=_np.uint64)
+    domain_chunk = index_chunk
 
     def orbit_min_array(self, xs):
         if self.m == 0:
@@ -117,13 +123,14 @@ class PathSpace:
         return _np.minimum(xs, rev)
 
     def switched_array(self, xs, v: int):
-        return xs ^ _np.uint64(self.switch_mask(v))
+        """Flip the letters of the edges at v: edge v-1 unless v is the first
+        vertex, edge v unless it is the last."""
+        flip = (1 << (self.m - v) if v > 0 else 0) | (1 << (self.m - 1 - v) if v < self.m else 0)
+        return xs ^ _np.uint64(flip)
 
     rep_chunks = scan_reps
-
-    def reps_array(self):
-        """Orbit minima as an ascending uint64 array."""
-        return _np.concatenate(list(self.rep_chunks()))
+    reps_array = concat_reps
+    card = card_of
 
     def count(self) -> int:
         """Class count: strings modulo the 2-element reversal group."""
@@ -156,51 +163,6 @@ class CycleSpace:
         if digons:
             # low bit of each letter is the direction, high bit the digon flag
             self.low = int("01" * n, 2)
-            self.high = self.low << 1
-
-    def rotate(self, x: int, r: int) -> int:
-        """Relabel vertex i to i+r; letter i moves to slot i+r."""
-        s = self.b * (r % self.n)
-        return ((x >> s) | (x << (self.width - s))) & self.mask if s else x
-
-    def _complement(self, x: int) -> int:
-        if not self.digons:
-            return x ^ self.mask
-        # flip direction bits of non-digon letters only
-        return x ^ (self.low & ~(x >> 1))
-
-    def reverse(self, x: int) -> int:
-        """Reflection through vertex 0: reverse letters, complement directions."""
-        y = 0
-        for i in range(self.n):
-            letter = x >> (self.b * (self.n - 1 - i)) & ((1 << self.b) - 1)
-            y |= letter << (self.b * i)
-        return self._complement(y)
-
-    def orbit_min(self, x: int) -> int:
-        best = x
-        y = self.reverse(x)
-        for r in range(self.n):
-            a = self.rotate(x, r)
-            if a < best:
-                best = a
-            a = self.rotate(y, r)
-            if a < best:
-                best = a
-        return best
-
-    def switch_mask_positions(self, v: int) -> tuple[int, int]:
-        return (v - 1) % self.n, v
-
-    def switched(self, x: int, v: int) -> int:
-        e1, e2 = self.switch_mask_positions(v)
-        flip = (1 << (self.b * (self.n - 1 - e1))) | (1 << (self.b * (self.n - 1 - e2)))
-        if not self.digons:
-            return x ^ flip
-        return x ^ (flip & ~(x >> 1))
-
-    def card(self, x: int, v: int) -> int:
-        return self.orbit_min(self.switched(x, v))
 
     @property
     def domain_total(self) -> int:
@@ -223,19 +185,16 @@ class CycleSpace:
         return self._orbit_min_array(xs)
 
     def switched_array(self, xs, v: int):
-        e1, e2 = self.switch_mask_positions(v)
-        flip = _np.uint64(
-            (1 << (self.b * (self.n - 1 - e1))) | (1 << (self.b * (self.n - 1 - e2)))
-        )
+        """Flip the letters of edges v-1 and v; digon letters stay put."""
+        e1, e2 = (v - 1) % self.n, v
+        flip = _np.uint64((1 << (self.b * (self.n - 1 - e1))) | (1 << (self.b * (self.n - 1 - e2))))
         if not self.digons:
             return xs ^ flip
         return xs ^ (flip & ~(xs >> _np.uint64(1)))
 
     rep_chunks = scan_reps
-
-    def reps_array(self):
-        """Orbit minima as an ascending uint64 array."""
-        return _np.concatenate(list(self.rep_chunks()))
+    reps_array = concat_reps
+    card = card_of
 
     def _orbit_min_array(self, xs):
         width = _np.uint64(self.width)
@@ -254,9 +213,6 @@ class CycleSpace:
                 rot = ((base >> s) | (base << (width - s))) & mask
                 _np.minimum(best, rot, out=best)
         return best
-
-    def reps(self) -> list[int]:
-        return self.reps_array().tolist()
 
     def count(self) -> int:
         """Class count by orbit counting over the 2n relabellings."""

@@ -1,7 +1,8 @@
 """Independent reference implementations used to anchor test expectations.
 
 Everything here is deliberately naive and engine-free: brute-force orbit
-walks, textbook cycle-index counting, and multiset transfer DPs.  Run the
+walks, textbook cycle-index counting, multiset transfer DPs, and class
+minima found by canonical code rather than by orbit arithmetic.  Run the
 module directly to print the oracle table that the test constants freeze.
 """
 
@@ -33,6 +34,23 @@ def brute_code(n: int, arcs: frozenset[tuple[int, int]]) -> tuple[int, ...]:
 
 def brute_iso(n: int, arcs_a, arcs_b) -> bool:
     return brute_code(n, frozenset(arcs_a)) == brute_code(n, frozenset(arcs_b))
+
+
+def least_per_class(space, domain) -> list[int]:
+    """The least string of each isomorphism class of space.digraph over a
+    domain, ascending: the orbit minima the space's rep scans must return.
+
+    Every string of a space orients one labelled underlying graph, and an
+    isomorphism between two of its orientations is an automorphism of that
+    graph, so isomorphism classes are exactly the relabelling orbits.
+    """
+    from switchdeck.canon import canonical_code
+
+    least: dict[bytes, int] = {}
+    for x in domain:
+        code = canonical_code(space.digraph(x))
+        least[code] = min(x, least.get(code, x))
+    return sorted(least.values())
 
 
 # ---------------------------------------------------------------------------

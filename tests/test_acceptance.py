@@ -48,7 +48,7 @@ from switchdeck.stability import (
 )
 from switchdeck.switching import switch_set, switch_vertex
 
-from ._oracles import brute_iso
+from ._oracles import TOURNAMENTS, brute_iso
 
 HEAVY = bool(os.environ.get("SWITCHDECK_HEAVY"))
 
@@ -166,9 +166,10 @@ def test_criterion_4_cycle_census():
 def test_criterion_5_tournament_census():
     with criterion(5) as c:
         report = run_census("tournaments", (8, 8))
+        assert report.counts == {8: TOURNAMENTS[8]}
         expect_family_profile(report, {8: {2: 20, 3: 4, 4: 2}})
         quadruple = catalog.family("tournaments-8").as_family()
-        assert any(f.members == quadruple.members for f in report.families)
+        assert any(f.members == quadruple.members and f.t == 0 for f in report.families)
         assert c.elapsed <= 300, f"took {c.elapsed:.1f}s, budget 300s"
         c.detail = (f"20 pairs, 4 triples, 2 quadruples at n=8, figure "
                     f"quadruple found, in {c.elapsed:.1f}s")

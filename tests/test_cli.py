@@ -126,6 +126,11 @@ def test_stable_subcommand(capsys):
     assert "stable connected: 3" in err
     rc, _, err = run(capsys, "stable", "1..8")
     assert rc == cli.EXIT_HEAVY
+    rc, _, err = run(capsys, "stable", "5..3")
+    assert rc == cli.EXIT_USAGE and "error:" in err
+    rc, out, err = run(capsys, "stable", "1..9", "--heavy")
+    assert rc == cli.EXIT_USAGE and "error:" in err
+    assert out == ""
 
 
 def test_gamma_subcommand(capsys):
