@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as _np
 
 from .digraph import Digraph, Permutation, UnderlyingGraph, components, in_masks
 from .errors import TooLarge
-from .spaces import _CHUNK, concat_reps, index_chunk
+from .spaces import concat_reps, group_min, index_chunk, scan_reps
 
 CanonicalCode = bytes
 
@@ -321,11 +321,7 @@ class OrientationSpace:
             y ^= tables[k][b[k::8]]
         return y
 
-    def orbit_min_array(self, xs):
-        best = xs.copy()
-        for action in self.actions:
-            _np.minimum(best, self.act_array(action, xs), out=best)
-        return best
+    orbit_min_array = group_min
 
     def switched_array(self, xs, v: int):
         return xs ^ _np.uint64(self.switch_masks[v])
@@ -360,22 +356,7 @@ class OrientationSpace:
                 fixed += 1 << cycles
         return fixed // (len(self.actions) + 1)
 
-    def rep_chunks(self, chunk: int = _CHUNK) -> Iterator:
-        """Orbit-minimal orientation integers, ascending, in chunks.
-
-        Each chunk of the domain shrinks action by action: an x stays only
-        while its image under every action so far is not below it, and is
-        dropped from the array before the next action.  Almost every x has a
-        smaller image under one of the first few actions, so the scan costs
-        about one pass over the domain whatever the group order.
-        """
-        total = 1 << self.m
-        for start in range(0, total, chunk):
-            xs = self.domain_chunk(start, min(start + chunk, total))
-            for action in self.actions:
-                xs = xs[self.act_array(action, xs) >= xs]
-            yield xs
-
+    rep_chunks = scan_reps
     reps_array = concat_reps
 
     def digraph(self, x: int) -> Digraph:

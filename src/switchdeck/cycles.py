@@ -70,14 +70,8 @@ class CycleOrientation:
         )
 
     def to_digraph(self) -> Digraph:
-        out = [0] * self.n
-        for j, d in enumerate(self.dirs):
-            a, b = j, (j + 1) % self.n
-            if d != BACKWARD:
-                out[a] |= 1 << b
-            if d != FORWARD:
-                out[b] |= 1 << a
-        return Digraph(self.n, tuple(out))
+        space = spaces.CycleSpace(self.n, digons=True)
+        return space.digraph(space.from_letters(self.dirs))
 
     @classmethod
     def from_digraph(cls, g: Digraph) -> tuple["CycleOrientation", list[int]]:

@@ -36,9 +36,9 @@ def brute_iso(n: int, arcs_a, arcs_b) -> bool:
     return brute_code(n, frozenset(arcs_a)) == brute_code(n, frozenset(arcs_b))
 
 
-def least_per_class(space, domain) -> list[int]:
+def least_by_code(space, domain) -> dict[bytes, int]:
     """The least string of each isomorphism class of space.digraph over a
-    domain, ascending: the orbit minima the space's rep scans must return.
+    domain, keyed by the class's canonical code.
 
     Every string of a space orients one labelled underlying graph, and an
     isomorphism between two of its orientations is an automorphism of that
@@ -50,7 +50,13 @@ def least_per_class(space, domain) -> list[int]:
     for x in domain:
         code = canonical_code(space.digraph(x))
         least[code] = min(x, least.get(code, x))
-    return sorted(least.values())
+    return least
+
+
+def least_per_class(space, domain) -> list[int]:
+    """The least strings of least_by_code, ascending: the orbit minima the
+    space's rep scans must return."""
+    return sorted(least_by_code(space, domain).values())
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from switchdeck import catalog, census
+from switchdeck import catalog, census, spaces
 from switchdeck.canon import OrientationSpace, canonical_code, is_isomorphic
 from switchdeck.census import (
     _census_reduced_span,
@@ -53,6 +53,7 @@ from ._oracles import (
     ORIENTED,
     PATHS,
     TOURNAMENTS,
+    least_by_code,
     least_per_class,
 )
 
@@ -329,6 +330,35 @@ def test_rep_scans_match_scalar_orbit_minima():
         for u in gen_underlying_graphs(n):
             space = OrientationSpace(u)
             assert space.reps_array().tolist() == least_per_class(space, range(1 << space.m))
+
+
+def test_space_actions_are_relabellings_and_orbit_min_is_their_least_image():
+    """Each action maps every string to one of the same class, and
+    orbit_min_array, group_min over the actions and the least string of the
+    class agree on every string of the domain, reps or not."""
+    binary = [PathSpace(n) for n in range(1, 10)] + [CycleSpace(n) for n in range(3, 10)]
+    binary += [OrientationSpace(u) for n in range(1, 6) for u in gen_underlying_graphs(n)]
+    cases = [(space, range(space.domain_total)) for space in binary]
+    for n in range(3, 7):
+        space = CycleSpace(n, digons=True)
+        cases.append((space, [space.from_letters(w) for w in product(range(3), repeat=n)]))
+    for space, domain in cases:
+        if isinstance(space, CycleSpace):
+            assert len(space.actions) == 2 * space.n - 1
+        elif isinstance(space, PathSpace):
+            assert len(space.actions) == (1 if space.m else 0)
+        if space.n == 1:
+            assert not space.actions
+        domain = list(domain)
+        least = least_by_code(space, domain)
+        code_of = {x: canonical_code(space.digraph(x)) for x in domain}
+        xs = np.array(domain, dtype=np.uint64)
+        for action in space.actions:
+            images = space.act_array(action, xs).tolist()
+            assert [code_of[y] for y in images] == [code_of[x] for x in domain]
+        want = [least[code_of[x]] for x in domain]
+        assert space.orbit_min_array(xs).tolist() == want
+        assert spaces.group_min(space, xs).tolist() == want
 
 
 def test_part_cards_are_the_least_string_of_the_switched_class():

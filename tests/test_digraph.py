@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from switchdeck.digraph import (
+    MAX_N,
     Digraph,
     Permutation,
     VertexSet,
@@ -23,6 +24,8 @@ from switchdeck.digraph import (
 from switchdeck.errors import (
     LoopArc,
     MalformedHeader,
+    TruncatedBits,
+    UnsupportedSize,
     VertexOutOfRange,
 )
 
@@ -44,9 +47,18 @@ def test_parse_rejects_garbage():
         parse_digraph6("@?")
     with pytest.raises(MalformedHeader):
         parse_digraph6("")
-    # one padding byte short for a 3-vertex matrix
-    with pytest.raises(Exception):
+    # a 3-vertex matrix needs two payload characters ("&BP_" is the triangle)
+    with pytest.raises(TruncatedBits):
         parse_digraph6("&B")
+    with pytest.raises(TruncatedBits):
+        parse_digraph6("&BP")
+    # K1's one bit is followed by five padding bits, which must be zero
+    with pytest.raises(TruncatedBits):
+        parse_digraph6("&@@")
+    with pytest.raises(UnsupportedSize):
+        parse_digraph6("&?")
+    with pytest.raises(UnsupportedSize):
+        parse_digraph6("&" + chr(MAX_N + 1 + 63))
 
 
 @given(digraphs(max_n=7, oriented=False))
