@@ -66,6 +66,10 @@ CLASS_BOUNDS: dict[str, tuple[int, int, int]] = {
     "all-oriented": (1, 8, 7),
 }
 
+# maxdeg2 orders up to this run one census unit per component shape; larger
+# orders run the reduced span (plain decks only)
+MAXDEG2_SHAPE_MAX_N = 16
+
 _HOLD_LIMIT = 1 << 26   # spaces with more classes regenerate their chunks per pass
 
 # every work unit yields families plus per-order class counts
@@ -534,9 +538,10 @@ def run_census(class_label: str, n_range: tuple[int, int], t_range=None,
     t0 = time.monotonic()
     lo, hi = n_range
     _validate(class_label, lo, hi, heavy)
-    if class_label == "maxdeg2" and hi > 16 and _resolve_ts(t_range, hi) != [0]:
+    if (class_label == "maxdeg2" and hi > MAXDEG2_SHAPE_MAX_N
+            and _resolve_ts(t_range, hi) != [0]):
         raise RangeTooLarge(
-            "maxdeg2 orders above 16 support plain decks (t = 0) only"
+            f"maxdeg2 orders above {MAXDEG2_SHAPE_MAX_N} support plain decks (t = 0) only"
         )
     tasks: list[Callable[[], _TaskOut]] = []
 
@@ -551,14 +556,14 @@ def run_census(class_label: str, n_range: tuple[int, int], t_range=None,
                    _space_census(space, n, ts, class_label))
         elif class_label == "tournaments":
             tagged(n, lambda n=n, ts=ts: _census_tournaments(n, ts))
-        elif class_label == "maxdeg2" and n <= 16:
+        elif class_label == "maxdeg2" and n <= MAXDEG2_SHAPE_MAX_N:
             for fn in _shape_tasks(n, ts):
                 tagged(n, fn)
         elif class_label == "all-oriented":
             for fn in _all_oriented_tasks(n, ts):
                 tagged(n, fn)
-    if class_label == "maxdeg2" and hi > 16:
-        tasks.extend(_reduced_span_tasks(max(lo, 17), hi))
+    if class_label == "maxdeg2" and hi > MAXDEG2_SHAPE_MAX_N:
+        tasks.extend(_reduced_span_tasks(max(lo, MAXDEG2_SHAPE_MAX_N + 1), hi))
     if shard is not None:
         idx, total = shard
         if not 0 <= idx < total:

@@ -41,7 +41,7 @@ EXIT_DICHOTOMY = 5
 # class -> (n_min, n_max, heavy_over) for graph streaming
 GEN_BOUNDS = {
     **CLASS_BOUNDS,
-    "maxdeg2": (1, 16, 16),
+    "maxdeg2": (1, census.MAXDEG2_SHAPE_MAX_N, census.MAXDEG2_SHAPE_MAX_N),
     "underlying": (1, generate.UNDERLYING_MAX_N, generate.UNDERLYING_MAX_N),
 }
 

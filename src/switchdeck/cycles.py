@@ -1,23 +1,26 @@
-"""Switching analysis specialised to cycles.
+"""Cycle orientations as letter strings, with W-set analysis on top.
 
 A cycle orientation is a letter string over the edges (i, i+1 mod n):
-0 = forward arc, 1 = backward arc, 2 = arcs both ways.  A rotation gamma by
-r positions satisfies G_W = G^gamma for at most a few W; the distinguished
-w_set is the solution with fewer than n/2 vertices when that solution is
-unique.
+0 = forward arc, 1 = backward arc, 2 = arcs both ways.  CycleOrientation is
+the codec between letters, packed CycleSpace strings and digraphs.  The
+switching sets of a rotation gamma, every W with G_W = G^gamma, come from
+stability.switch_solutions on the cycle's digraph; the distinguished w_set
+is the solution with fewer than n/2 vertices when that solution is unique.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
-from typing import Iterator
 
 import numpy as _np
 
 from . import spaces
-from .digraph import Digraph, Permutation, VertexSet
+from .digraph import Digraph, Permutation, VertexSet, underlying
 from .errors import HypothesisUnmet, LengthMismatch, NotConnected, TooSmall, WUndefined
+from .stability import switch_solutions
+from .switching import switch_vertex
 
 FORWARD, BACKWARD, DIGON = 0, 1, 2
 
@@ -48,27 +51,6 @@ class CycleOrientation:
     def from_letters(cls, text: str) -> "CycleOrientation":
         return cls(len(text), tuple("FBD".index(c) for c in text.upper()))
 
-    def switched(self, v: int) -> "CycleOrientation":
-        """Reverse the two cycle edges at v; arcs both ways stay put."""
-        dirs = list(self.dirs)
-        for j in ((v - 1) % self.n, v % self.n):
-            if dirs[j] != DIGON:
-                dirs[j] ^= 1
-        return CycleOrientation(self.n, tuple(dirs))
-
-    def switched_set(self, w: VertexSet) -> "CycleOrientation":
-        dirs = list(self.dirs)
-        for j in range(self.n):
-            if dirs[j] != DIGON and (w.bits >> j & 1) != (w.bits >> ((j + 1) % self.n) & 1):
-                dirs[j] ^= 1
-        return CycleOrientation(self.n, tuple(dirs))
-
-    def rotated(self, r: int) -> "CycleOrientation":
-        """The letter string of G^gamma for the rotation by r positions."""
-        return CycleOrientation(
-            self.n, tuple(self.dirs[(j - r) % self.n] for j in range(self.n))
-        )
-
     def to_digraph(self) -> Digraph:
         space = spaces.CycleSpace(self.n, digons=True)
         return space.digraph(space.from_letters(self.dirs))
@@ -81,8 +63,6 @@ class CycleOrientation:
         the string corresponds to original vertex order[i].
         """
         n = g.n
-        from .digraph import underlying
-
         u = underlying(g)
         if n < 3 or any(u.degree(v) != 2 for v in range(n)):
             raise NotConnected("underlying graph is not a single cycle")
@@ -135,61 +115,10 @@ class Rotation:
         return self.r == 0
 
 
-def _solutions(co: CycleOrientation, rot: Rotation) -> Iterator[int]:
-    """All W bitmasks with co switched by W equal to co rotated by rot.
-
-    Edge j flips under W exactly when w_j != w_{j+1}, so each non-digon edge
-    pins the parity between its endpoints and each digon edge leaves it free
-    (switching never moves a digon).  Digon positions must already agree.
-    """
-    n = co.n
-    target = co.rotated(rot.r)
-    free: list[int] = []
-    flips = [0] * n
-    for j in range(n):
-        a, b = co.dirs[j], target.dirs[j]
-        if (a == DIGON) != (b == DIGON):
-            return
-        if a == DIGON:
-            free.append(j)
-        else:
-            flips[j] = a ^ b
-    if not free:
-        w = 0
-        bit = 0
-        for j in range(n - 1):
-            bit ^= flips[j]
-            w |= bit << (j + 1)
-        last = (w >> (n - 1) & 1) ^ flips[n - 1]
-        if last != w & 1:
-            return
-        yield w
-        yield w ^ ((1 << n) - 1)
-        return
-    # digon edges cut the cycle into arcs; each arc flips independently, so
-    # walk each arc once with root 0 and emit every combination of arc flips
-    comps: list[int] = []
-    ranges: list[int] = []
-    k = len(free)
-    for i in range(k):
-        v = (free[i] + 1) % n
-        stop = free[(i + 1) % k]
-        bit = 0
-        comp = 0
-        rng = 1 << v
-        while v != stop:
-            bit ^= flips[v]
-            v = (v + 1) % n
-            rng |= 1 << v
-            if bit:
-                comp |= 1 << v
-        comps.append(comp)
-        ranges.append(rng)
-    for pick in range(1 << k):
-        w = 0
-        for i in range(k):
-            w |= comps[i] ^ ranges[i] if pick >> i & 1 else comps[i]
-        yield w
+def _small_w(g: Digraph, gamma: Permutation) -> VertexSet | None:
+    # a second small solution already rules out uniqueness, so stop there
+    small = list(islice((w for w in switch_solutions(g, gamma) if 2 * len(w) < g.n), 2))
+    return small[0] if len(small) == 1 else None
 
 
 def find_W(co: CycleOrientation, rot: Rotation) -> VertexSet | None:
@@ -197,13 +126,10 @@ def find_W(co: CycleOrientation, rot: Rotation) -> VertexSet | None:
 
     None covers both failure modes: no solution at all, or no unique
     small-side solution (every solution has size exactly n/2, or several
-    digon-freed solutions tie below n/2).
+    digon-freed solutions tie below n/2).  Raises LengthMismatch when the
+    rotation acts on a different number of vertices than co has.
     """
-    n = co.n
-    small = [w for w in _solutions(co, rot) if 2 * w.bit_count() < n]
-    if len(small) != 1:
-        return None
-    return VertexSet(n, small[0])
+    return _small_w(co.to_digraph(), rot.as_permutation())
 
 
 def w_set(co: CycleOrientation, rot: Rotation) -> VertexSet:
@@ -236,15 +162,15 @@ def verify_w_size_reconstruction(co: CycleOrientation, rot: Rotation) -> dict:
         raise HypothesisUnmet("requires an oriented cycle")
     if rot.is_trivial():
         raise HypothesisUnmet("requires a nontrivial rotation")
-    w = find_W(co, rot)
-    if w is None:
-        raise WUndefined(f"no unique small switching set for rotation by {rot.r}")
+    w = w_set(co, rot)
     n = co.n
     if n <= 2 * len(w) + 8:
         raise HypothesisUnmet(f"need n > 2|W| + 8, got n={n}, |W|={len(w)}")
+    g = co.to_digraph()
+    gamma = rot.as_permutation()
     card_sizes = []
     for v in range(n):
-        wv = find_W(co.switched(v), rot)
+        wv = _small_w(switch_vertex(g, v), gamma)
         if wv is None:
             raise WUndefined(f"card {v} has no unique small switching set")
         card_sizes.append(len(wv))

@@ -8,7 +8,7 @@ sandwiched between Aut(D) and Aut(underlying(D)).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as _np
 
@@ -28,6 +28,7 @@ from .errors import (
     EmptySet,
     HypothesisUnmet,
     LengthMismatch,
+    MixedUnderlying,
     NotUnderlyingAut,
     OrderMismatch,
     TooLarge,
@@ -123,8 +124,6 @@ def check_stable_set_bound(graphs: Sequence[Digraph]) -> dict:
     n = members[0].n
     if any(g.n != n for g in members):
         raise OrderMismatch("stable-set members must share an order")
-    from .errors import MixedUnderlying
-
     ucodes = {canon.canonical_code(Digraph(n, underlying(g).adj)) for g in members}
     if len(ucodes) != 1:
         raise MixedUnderlying("members must orient one underlying graph")
@@ -151,13 +150,16 @@ def check_stable_set_bound(graphs: Sequence[Digraph]) -> dict:
     return result
 
 
-def solve_switch_iso(g: Digraph, gamma: Permutation) -> VertexSet | None:
-    """A vertex set W with g switched by W equal to g relabelled by gamma.
+def switch_solutions(g: Digraph, gamma: Permutation) -> Iterator[VertexSet]:
+    """Every vertex set W with g switched by W equal to g relabelled by gamma.
 
     Works for connected digraphs, digons included: digon edges never move
     under switching, so they only have to match up front, and each component
     of the non-digon edge graph is rooted at its least vertex with weight 0.
-    Returns None when no W exists.
+    That rooted W comes first.  Every edge leaving a component is a digon
+    edge, which switching never moves, so the other solutions are W XOR each
+    nonempty union of components, each yielded once.  Yields nothing when no
+    W exists.
     """
     n = g.n
     if len(gamma) != n:
@@ -170,12 +172,14 @@ def solve_switch_iso(g: Digraph, gamma: Permutation) -> VertexSet | None:
     target = apply_perm(g, gamma)
     digons = g.digon_mask()
     if digons != target.digon_mask():
-        return None
+        return
     weight = [-1] * n
+    comps: list[int] = []
     for root in range(n):
         if weight[root] != -1:
             continue
         weight[root] = 0
+        comp = 1 << root
         stack = [root]
         while stack:
             v = stack.pop()
@@ -187,17 +191,27 @@ def solve_switch_iso(g: Digraph, gamma: Permutation) -> VertexSet | None:
                 need = weight[v] ^ (g.has_arc(v, x) != target.has_arc(v, x))
                 if weight[x] == -1:
                     weight[x] = need
+                    comp |= b
                     stack.append(x)
                 elif weight[x] != need:
-                    return None
+                    return
+        comps.append(comp)
     bits = 0
     for v in range(n):
         if weight[v]:
             bits |= 1 << v
-    w = VertexSet(n, bits)
-    if switch_set(g, w) != target:
-        return None
-    return w
+    if switch_set(g, VertexSet(n, bits)) != target:
+        return
+    yield VertexSet(n, bits)
+    # Gray-code order: each step flips the one component at the lowest set bit
+    for pick in range(1, 1 << len(comps)):
+        bits ^= comps[(pick & -pick).bit_length() - 1]
+        yield VertexSet(n, bits)
+
+
+def solve_switch_iso(g: Digraph, gamma: Permutation) -> VertexSet | None:
+    """The rooted W of switch_solutions (vertex 0 outside it), or None."""
+    return next(switch_solutions(g, gamma), None)
 
 
 def gamma_group(g: Digraph) -> AutGroup:

@@ -38,6 +38,8 @@ def test_gen_bounds_and_heavy_gate(capsys):
     assert rc == cli.EXIT_USAGE and "error:" in err
     rc, _, err = run(capsys, "gen", "cycles", "21")
     assert rc == cli.EXIT_HEAVY and "heavy" in err
+    rc, _, err = run(capsys, "gen", "maxdeg2", "17")
+    assert rc == cli.EXIT_USAGE and "1..16" in err
 
 
 def test_deck_output(capsys):

@@ -35,6 +35,7 @@ from switchdeck.stability import (
     is_switching_stable,
     is_switching_stable_set,
     solve_switch_iso,
+    switch_solutions,
     verify_index_identity,
 )
 from switchdeck.switching import switch_set, switch_vertex
@@ -174,6 +175,9 @@ def test_solve_switch_iso_against_subset_scan(g):
         else:
             assert got.bits in brute
             assert not got.bits & 1  # vertex 0 kept outside W
+        every = [w.bits for w in switch_solutions(g, p)]
+        assert len(every) == len(set(every))
+        assert set(every) == set(brute)
 
 
 @given(digraphs(min_n=2, max_n=6, oriented=True))
