@@ -5,17 +5,34 @@ adjacency bit-string over all relabellings compatible with iterated
 (in, out)-degree refinement, prefixed by the order; disjoint unions compose
 their components' codes in sorted order.  Codes are plain bytes and totally
 ordered; equal codes mean isomorphic digraphs.
+
+The search computes the in-masks once and tests connectivity on them, so a
+connected digraph (every tournament among them) never builds a component
+split.  Its refinement recounts each vertex only against the cells that
+changed since the last round, after McKay and Piperno ("Practical graph
+isomorphism II", J. Symb. Comput. 2014), but keeps every split's children
+in the place and sorted order a recount against every cell gives: the
+refinement-compatible orders, the least leaf and so every code stay those
+of the full recount (see _stable_partition).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import and_, itemgetter
 from typing import NamedTuple
 
 import numpy as _np
 
-from .digraph import Digraph, Permutation, UnderlyingGraph, components, in_masks
+from .digraph import (
+    Digraph,
+    Permutation,
+    UnderlyingGraph,
+    _component_masks,
+    components,
+    in_masks,
+)
 from .errors import TooLarge
 from .spaces import concat_reps, group_min, index_chunk, scan_reps
 
@@ -38,21 +55,43 @@ class AutGroup:
         return iter(self.elements)
 
 
-def _stable_partition(n, out, inn, cells):
-    """Refine an ordered partition by (out, in) counts into every cell until stable.
+def _stable_partition(n, out, inn, cells, fresh=None):
+    """Refine an ordered partition by (out, in) counts into cells until stable.
 
     Cell order is isomorphism-invariant: split cells replace their parent in
-    place, sub-ordered by signature.
+    place, sub-ordered by signature.  inn=None keys on out-counts alone, for
+    digraphs whose in-counts follow from them inside every cell.
+
+    Each round keys a vertex on its counts against the cells in fresh only
+    (ascending indices into cells; every cell when fresh is None).  This
+    gives the buckets, in the sorted order, of a recount against every cell,
+    because two facts keep the counts against each cell outside fresh
+    constant inside every cell, so that the first component where two full
+    keys differ is a fresh one:
+
+    - counts against an unchanged cell are constant inside every cell, since
+      the last round's keys (or, on the first call, stability of the
+      partition the caller split) already separated them;
+    - a split cell's last child needs no recount: a count against it is the
+      parent's constant count minus the counts against its siblings.
+
+    So fresh is every cell on a first call, and each later round the
+    children of each split cell except the last.  A caller that
+    individualises vertex v of a cell of a stable partition, putting [v]
+    just before the rest of that cell, passes fresh=[index of [v]].  The
+    partition is returned as soon as it is discrete.
     """
-    while True:
+    if fresh is None:
+        fresh = range(len(cells))
+    while len(cells) < n:
         masks = []
-        for c in cells:
+        for i in fresh:
             m = 0
-            for v in c:
+            for v in cells[i]:
                 m |= 1 << v
             masks.append(m)
         new_cells = []
-        changed = False
+        new_fresh = []
         for c in cells:
             if len(c) == 1:
                 new_cells.append(c)
@@ -60,32 +99,44 @@ def _stable_partition(n, out, inn, cells):
             buckets: dict = {}
             for v in c:
                 ov = out[v]
-                iv = inn[v]
-                key = tuple((ov & m).bit_count() << 6 | (iv & m).bit_count() for m in masks)
-                buckets.setdefault(key, []).append(v)
+                key = 0
+                if inn is None:
+                    for m in masks:
+                        key = key << 6 | (ov & m).bit_count()
+                else:
+                    iv = inn[v]
+                    for m in masks:
+                        key = key << 12 | (ov & m).bit_count() << 6 | (iv & m).bit_count()
+                if key in buckets:
+                    buckets[key].append(v)
+                else:
+                    buckets[key] = [v]
             if len(buckets) == 1:
                 new_cells.append(c)
             else:
-                changed = True
+                first = len(new_cells)
                 for key in sorted(buckets):
                     new_cells.append(buckets[key])
+                new_fresh.extend(range(first, len(new_cells) - 1))
+        if not new_fresh:
+            break
         cells = new_cells
-        if not changed:
-            return cells
+        fresh = new_fresh
+    return cells
 
 
 def _code_rows(n, out, perm):
     """Adjacency rows of the relabelled graph, one int per row, MSB = column 0."""
-    pos = [0] * n
+    column = [0] * n
     for i, v in enumerate(perm):
-        pos[v] = i
+        column[v] = 1 << (n - 1 - i)
     rows = []
     for v in perm:
         m = out[v]
         row = 0
         while m:
             b = m & -m
-            row |= 1 << (n - 1 - pos[b.bit_length() - 1])
+            row |= column[b.bit_length() - 1]
             m ^= b
         rows.append(row)
     return rows
@@ -98,13 +149,19 @@ def _canonical_search(g: Digraph):
 
     Disjoint unions are canonicalized per component and concatenated in
     sorted component order; this keeps the search tree small when many
-    components are interchangeable.
+    components are interchangeable.  A connected digraph skips the
+    component split and its copy.
     """
     n = g.n
     if n == 0:
         return (), ()
-    comp = components(g)
-    if len(comp.parts) > 1:
+    out = g.out
+    inn = in_masks(g)
+    # one arc per pair and no digon: a tournament, and so connected
+    tournament = (sum(map(int.bit_count, out)) == n * (n - 1) // 2
+                  and not any(map(and_, out, inn)))
+    if not tournament and len(_component_masks(n, [o | i for o, i in zip(out, inn)])) > 1:
+        comp = components(g)
         ranked = sorted(
             range(len(comp.parts)),
             key=lambda i: (comp.parts[i].n, canonical_code(comp.parts[i])),
@@ -114,32 +171,30 @@ def _canonical_search(g: Digraph):
             verts = comp.blocks[i].members()
             _, part_order = _canonical_search(comp.parts[i])
             order.extend(verts[v] for v in part_order)
-        return tuple(_code_rows(n, g.out, order)), tuple(order)
-    out = g.out
-    inn = in_masks(g)
-    best: list[int] | None = None
-    best_order: list[int] | None = None
+        return tuple(_code_rows(n, out, order)), tuple(order)
+    # out-counts alone refine a symmetric digraph, whose in-counts equal
+    # them, and a tournament, whose in-count against a cell is the cell's
+    # size less the out-count, less one inside the vertex's own cell
+    if tournament or inn == out:
+        inn = None
 
-    def rec(cells):
-        nonlocal best, best_order
+    def leaves(cells):
         for idx, c in enumerate(cells):
             if len(c) > 1:
+                head = cells[:idx]
+                tail = cells[idx + 1:]
                 for v in c:
                     rest = [w for w in c if w != v]
-                    refined = _stable_partition(
-                        n, out, inn, cells[:idx] + [[v], rest] + cells[idx + 1:]
-                    )
-                    rec(refined)
+                    yield from leaves(
+                        _stable_partition(n, out, inn, head + [[v], rest] + tail, [idx]))
                 return
-        order = [c[0] for c in cells]
-        rows = _code_rows(n, out, order)
-        if best is None or rows < best:
-            best = rows
-            best_order = order
+        yield [c[0] for c in cells]
 
-    rec(_stable_partition(n, out, inn, [list(range(n))]))
-    assert best is not None and best_order is not None
-    return tuple(best), tuple(best_order)
+    # min keeps the first least leaf, as a strict running minimum would
+    best, order = min(((_code_rows(n, out, leaf), leaf)
+                       for leaf in leaves(_stable_partition(n, out, inn, [list(range(n))]))),
+                      key=itemgetter(0))
+    return tuple(best), tuple(order)
 
 
 @lru_cache(maxsize=1 << 17)
@@ -149,20 +204,11 @@ def canonical_code(g: Digraph) -> CanonicalCode:
     if n == 0:
         return bytes([0])
     best, _ = _canonical_search(g)
-    packed = bytearray([n])
     acc = 0
-    filled = 0
     for row in best:
-        for j in range(n):
-            acc = acc << 1 | (row >> (n - 1 - j) & 1)
-            filled += 1
-            if filled == 8:
-                packed.append(acc)
-                acc = 0
-                filled = 0
-    if filled:
-        packed.append(acc << (8 - filled))
-    return bytes(packed)
+        acc = acc << n | row
+    size = (n * n + 7) >> 3
+    return bytes([n]) + (acc << (size * 8 - n * n)).to_bytes(size, "big")
 
 
 def code_to_digraph(code: CanonicalCode) -> Digraph:
@@ -203,7 +249,7 @@ def aut_group_undirected(u: UnderlyingGraph) -> AutGroup:
         raise TooLarge(f"order {u.n} exceeds automorphism cap {AUT_MAX_N}")
     n = u.n
     adj = u.adj
-    cells = _stable_partition(n, adj, adj, [list(range(n))])
+    cells = _stable_partition(n, adj, None, [list(range(n))])
     color = [0] * n
     for i, c in enumerate(cells):
         for v in c:

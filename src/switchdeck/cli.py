@@ -17,7 +17,6 @@ import sys
 from typing import Iterable
 
 from . import catalog, census, decks, generate, spaces
-from .canon import canonical_code
 from .census import CLASS_BOUNDS, run_census
 from .cycles import CycleOrientation, Rotation, dist_set, find_W, verify_w_size_reconstruction
 from .digraph import Digraph, apply_perm, format_digraph6, parse_digraph6

@@ -30,7 +30,20 @@ def switch_set(g: Digraph, w: VertexSet | Iterable[int]) -> Digraph:
 
 
 def switch_vertex(g: Digraph, v: int) -> Digraph:
-    """Reverse all arcs incident with v."""
+    """Reverse all arcs incident with v, in one pass over the out-masks.
+
+    v's new out-mask is its old in-mask; every other w gets arc w->v exactly
+    when v->w was an arc, so a digon at v stays a digon.
+    """
     if not 0 <= v < g.n:
         raise VertexOutOfRange(f"vertex {v} not in 0..{g.n - 1}")
-    return switch_set(g, VertexSet(g.n, 1 << v))
+    bit = 1 << v
+    ov = g.out[v]
+    out = []
+    col = 0
+    for w, m in enumerate(g.out):
+        if m & bit:
+            col |= 1 << w
+        out.append(m & ~bit | (ov >> w & 1) << v)
+    out[v] = col
+    return Digraph(g.n, tuple(out))

@@ -59,6 +59,29 @@ def least_per_class(space, domain) -> list[int]:
     return sorted(least_by_code(space, domain).values())
 
 
+def full_refine(n: int, out, inn, cells: list[list[int]]) -> list[list[int]]:
+    """Equitable refinement by recounting every vertex against every cell.
+
+    Each round keys a vertex on its (out, in) counts into all cells, in cell
+    order, and replaces each cell by its buckets in sorted key order; rounds
+    repeat until none splits.  canon._stable_partition must give the same
+    cell list, in the same order.
+    """
+    while True:
+        masks = [sum(1 << v for v in c) for c in cells]
+        new_cells = []
+        for c in cells:
+            buckets: dict[tuple, list[int]] = {}
+            for v in c:
+                key = tuple(((out[v] & m).bit_count(), (inn[v] & m).bit_count())
+                            for m in masks)
+                buckets.setdefault(key, []).append(v)
+            new_cells.extend(buckets[key] for key in sorted(buckets))
+        if len(new_cells) == len(cells):
+            return cells
+        cells = new_cells
+
+
 # ---------------------------------------------------------------------------
 # partitions and cycle-index counting
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
 from itertools import combinations, product
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from switchdeck.canon import (
     AutGroup,
+    _stable_partition,
     aut_group_undirected,
     canonical_code,
     canonical_form,
@@ -21,11 +24,19 @@ from switchdeck.digraph import (
     apply_perm,
     disjoint_union,
     from_arcs,
+    in_masks,
     underlying,
 )
+from switchdeck.generate import gen_all_oriented, gen_tournaments, gen_underlying_graphs
+from switchdeck.switching import switch_vertex
 
-from ._oracles import brute_code
-from .conftest import digraph_pairs, digraphs, graph_and_perm
+from ._oracles import brute_code, full_refine
+from .conftest import arcs_for, digraph_pairs, digraphs, graph_and_perm
+
+# SHA-256 over the canonical codes of golden_corpus(), pinned with the
+# full-recount refinement (_oracles.full_refine): a faster search must leave
+# every code, and so this digest, as it is
+GOLDEN_CODES_SHA256 = "75af084840356c2e671cc235c21532e62706fc306a0007c1826f0b7cf6116cc3"
 
 
 def as_arcs(g: Digraph) -> frozenset[tuple[int, int]]:
@@ -105,3 +116,71 @@ def test_aut_group_orders_on_known_graphs():
     assert aut_group_undirected(path4).order == 2
     assert aut_group_undirected(cycle4).order == 8
     assert aut_group_undirected(complete4).order == 24
+
+
+def golden_corpus():
+    """6,987 digraphs: every oriented graph class of order <= 5, every
+    tournament class of order <= 7 and each of its vertex switches, every
+    graph of order <= 6 as a symmetric digraph, and 2,000 seeded random
+    labelled digraphs of order <= 9, 1,161 of them with digons and 716
+    disconnected."""
+    for n in range(1, 6):
+        yield from gen_all_oriented(n)
+    for n in range(1, 8):
+        for t in gen_tournaments(n):
+            yield t
+            for v in range(n):
+                yield switch_vertex(t, v)
+    for n in range(1, 7):
+        for u in gen_underlying_graphs(n):
+            yield Digraph(n, u.adj)
+    rng = random.Random(0x5EED)
+    for _ in range(2000):
+        n = rng.randint(1, 9)
+        none = rng.random()
+        picks = [0 if rng.random() < none else rng.randint(1, 3)
+                 for _ in range(n * (n - 1) // 2)]
+        yield from_arcs(n, arcs_for(n, picks, oriented=False), oriented=False)
+
+
+def test_canonical_codes_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for g in golden_corpus():
+        digest.update(canonical_code(g))
+    assert digest.hexdigest() == GOLDEN_CODES_SHA256
+
+
+@st.composite
+def refinable(draw):
+    """(n, out, in-masks, in-masks as the search passes them) for a digraph
+    with digons, a tournament or a symmetric digraph of order <= 8; the
+    search passes None for the last two, whose out-counts decide the rest."""
+    kind = draw(st.sampled_from(["digons", "tournament", "symmetric"]))
+    n = draw(st.integers(1, 8))
+    pick = {"digons": st.integers(0, 3), "tournament": st.integers(1, 2),
+            "symmetric": st.sampled_from([0, 3])}[kind]
+    picks = draw(st.lists(pick, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    g = from_arcs(n, arcs_for(n, picks, oriented=False), oriented=False)
+    inn = in_masks(g)
+    return n, g.out, inn, inn if kind == "digons" else None
+
+
+@given(refinable())
+def test_refinement_matches_a_full_recount_from_the_unit_partition(case):
+    n, out, inn, passed = case
+    unit = [list(range(n))]
+    assert _stable_partition(n, out, passed, unit) == full_refine(n, out, inn, unit)
+
+
+@given(refinable(), st.integers(0, 7), st.integers(0, 7))
+def test_refinement_matches_a_full_recount_after_individualising(case, i, j):
+    n, out, inn, passed = case
+    cells = full_refine(n, out, inn, [list(range(n))])
+    split = [idx for idx, c in enumerate(cells) if len(c) > 1]
+    if not split:
+        return
+    idx = split[i % len(split)]
+    c = cells[idx]
+    v = c[j % len(c)]
+    start = cells[:idx] + [[v], [w for w in c if w != v]] + cells[idx + 1:]
+    assert _stable_partition(n, out, passed, start, [idx]) == full_refine(n, out, inn, start)

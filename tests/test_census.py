@@ -250,6 +250,30 @@ def test_all_oriented_census_small():
     assert sum(f.size for f in report.families) == 35
 
 
+C8_EDGES = [(i, (i + 1) % 8) for i in range(8)]
+ORDER8_UNITS = {
+    "C8": C8_EDGES,
+    "cube": [(a, a ^ 1 << k) for a in range(8) for k in range(3) if a < a ^ 1 << k],
+    "Wagner": C8_EDGES + [(i, i + 4) for i in range(4)],
+}
+
+
+@pytest.mark.parametrize("name, classes, families", [
+    ("C8", 22, 6), ("cube", 112, 19), ("Wagner", 256, 14)])
+def test_order8_all_oriented_unit_matches_exact_grouping(name, classes, families):
+    """One order-8 unit of the heavy all-oriented census, against
+    group_by_deck over every orientation of its underlying graph."""
+    u = underlying(from_arcs(8, ORDER8_UNITS[name]))
+    got, count = census._census_one_underlying(u, 8, [0])
+    space = OrientationSpace(u)
+    graphs = [space.digraph(x) for x in range(space.domain_total)]
+    want = sorted(sorted(canonical_code(g) for g in grp) for grp in group_by_deck(graphs, 0))
+    assert count == len({canonical_code(g) for g in graphs}) == classes
+    assert len(want) == families
+    assert sorted(list(f.members) for f in got) == want
+    assert all(f.class_label == "all-oriented" and (f.n, f.t) == (8, 0) for f in got)
+
+
 @pytest.mark.parametrize("label, lo, hi, gen", [
     ("paths", 1, 9, gen_oriented_paths),
     ("cycles", 3, 9, gen_oriented_cycles),

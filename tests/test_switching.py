@@ -96,6 +96,12 @@ def test_switch_parity_composition(gw, v, v_img):
     assert lhs == rhs
 
 
+@given(digraphs(max_n=10, oriented=False), st.integers(0, 9))
+def test_vertex_switch_matches_the_one_vertex_set_switch(g, v):
+    v %= g.n
+    assert switch_vertex(g, v) == switch_set(g, VertexSet(g.n, 1 << v))
+
+
 def test_switch_vertex_bounds():
     g = from_arcs(2, [(0, 1)])
     with pytest.raises(VertexOutOfRange):
