@@ -14,13 +14,24 @@ isomorphism II", J. Symb. Comput. 2014), but keeps every split's children
 in the place and sorted order a recount against every cell gives: the
 refinement-compatible orders, the least leaf and so every code stay those
 of the full recount (see _stable_partition).
+
+One search (_search) gives codes and automorphisms, after the same paper.
+A leaf with the first leaf's rows gives the automorphism first[i] -> leaf[i],
+which fixes the path the two leaves share (splits keep leaf positions) and
+maps the first path's next vertex to the other's.  A node skips each later
+child in the orbit of its explored children under the automorphisms found
+that fix its path.  Such a subtree is the image of an explored, earlier one,
+so the least rows, the first leaf giving them and a leaf with the first
+leaf's rows still turn up.  So the automorphisms found that fix the first k
+path vertices reach the orbit of the next one under their stabiliser, and
+one element per orbit point and level, multiplied, lists the group once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import and_, itemgetter
+from operator import and_
 from typing import NamedTuple
 
 import numpy as _np
@@ -142,6 +153,53 @@ def _code_rows(n, out, perm):
     return rows
 
 
+def _visit(n, out, inn, cells, path, found, gens):
+    """Search below the node with partition cells and individualised path;
+    found holds the first leaf's rows, the leaf and its path, then the least
+    rows and their first leaf, and gens the automorphisms found."""
+    for idx, c in enumerate(cells):
+        if len(c) > 1:
+            break
+    else:
+        leaf = [v for c in cells for v in c]
+        rows = _code_rows(n, out, leaf)
+        if not found:
+            found.extend((rows, leaf, path[:], rows, leaf))
+        elif rows == found[0]:
+            gens.append([w for _, w in sorted(zip(found[1], leaf))])
+        elif rows < found[3]:
+            found[3:] = rows, leaf
+        return
+    orbit = 0
+    for v in c:
+        if orbit >> v & 1:
+            continue
+        path.append(v)
+        start = cells[:idx] + [[v], [w for w in c if w != v]] + cells[idx + 1:]
+        _visit(n, out, inn, _stable_partition(n, out, inn, start, [idx]), path, found, gens)
+        path.pop()
+        # close the explored children's orbit under the gens that fix the path
+        orbit |= 1 << v
+        fixing = [g for g in gens if all(g[p] == p for p in path)]
+        todo = orbit
+        while fixing and todo:
+            x = (todo & -todo).bit_length() - 1
+            todo ^= 1 << x
+            for g in fixing:
+                if not orbit >> g[x] & 1:
+                    orbit |= 1 << g[x]
+                    todo |= 1 << g[x]
+
+
+def _search(n, out, inn):
+    """The least rows, the first order giving them, the automorphisms found
+    (image lists) and the path to the first leaf (see the module docstring)."""
+    found: list = []
+    gens: list[list[int]] = []
+    _visit(n, out, inn, _stable_partition(n, out, inn, [list(range(n))]), [], found, gens)
+    return found[3], found[4], gens, found[2]
+
+
 @lru_cache(maxsize=1 << 17)
 def _canonical_search(g: Digraph):
     """Least adjacency rows over refinement-compatible orders, and one order
@@ -177,23 +235,7 @@ def _canonical_search(g: Digraph):
     # size less the out-count, less one inside the vertex's own cell
     if tournament or inn == out:
         inn = None
-
-    def leaves(cells):
-        for idx, c in enumerate(cells):
-            if len(c) > 1:
-                head = cells[:idx]
-                tail = cells[idx + 1:]
-                for v in c:
-                    rest = [w for w in c if w != v]
-                    yield from leaves(
-                        _stable_partition(n, out, inn, head + [[v], rest] + tail, [idx]))
-                return
-        yield [c[0] for c in cells]
-
-    # min keeps the first least leaf, as a strict running minimum would
-    best, order = min(((_code_rows(n, out, leaf), leaf)
-                       for leaf in leaves(_stable_partition(n, out, inn, [list(range(n))]))),
-                      key=itemgetter(0))
+    best, order, _, _ = _search(n, out, inn)
     return tuple(best), tuple(order)
 
 
@@ -244,40 +286,26 @@ def is_isomorphic(g: Digraph, h: Digraph) -> bool:
 
 @lru_cache(maxsize=1 << 14)
 def aut_group_undirected(u: UnderlyingGraph) -> AutGroup:
-    """Every automorphism of an undirected graph on at most 16 vertices."""
+    """Every automorphism of an undirected graph on at most 16 vertices,
+    ascending by image, off the stabiliser chain of a search of the whole
+    graph (see the module docstring)."""
     if u.n > AUT_MAX_N:
         raise TooLarge(f"order {u.n} exceeds automorphism cap {AUT_MAX_N}")
     n = u.n
-    adj = u.adj
-    cells = _stable_partition(n, adj, None, [list(range(n))])
-    color = [0] * n
-    for i, c in enumerate(cells):
-        for v in c:
-            color[v] = i
-    perms: list[Permutation] = []
-    image = [0] * n
-
-    def rec(v, used, mapped_img):
-        if v == n:
-            perms.append(Permutation(tuple(image)))
-            return
-        want = 0
-        m = adj[v] & ((1 << v) - 1)
-        while m:
-            b = m & -m
-            want |= 1 << image[b.bit_length() - 1]
-            m ^= b
-        cv = color[v]
-        for w in range(n):
-            if used >> w & 1 or color[w] != cv:
-                continue
-            if adj[w] & mapped_img == want:
-                image[v] = w
-                rec(v + 1, used | 1 << w, mapped_img | 1 << w)
-        return
-
-    rec(0, 0, 0)
-    return AutGroup(tuple(perms))
+    _, _, gens, path = _search(n, u.adj, None)
+    elements = [tuple(range(n))]
+    for k, base in enumerate(path):
+        fixing = [g for g in gens if all(g[p] == p for p in path[:k])]
+        # one element of the stabiliser of path[:k] per point of base's orbit
+        reps = {base: tuple(range(n))}
+        todo = [base]
+        for x in todo:
+            for g in fixing:
+                if g[x] not in reps:
+                    reps[g[x]] = tuple(g[y] for y in reps[x])
+                    todo.append(g[x])
+        elements = [tuple(e[y] for y in r) for e in elements for r in reps.values()]
+    return AutGroup(tuple(Permutation(e) for e in sorted(elements)))
 
 
 def edge_list(u: UnderlyingGraph) -> list[tuple[int, int]]:
@@ -317,9 +345,7 @@ class OrientationSpace:
         index = {e: i for i, e in enumerate(self.edges)}
         dstpos = tuple(m - 1 - j for j in range(m))
         perms = []
-        for p in self.aut.elements:
-            if p.is_identity():
-                continue
+        for p in self.aut.elements[1:]:  # the identity comes first
             img = p.image
             srcpos = [0] * m
             flip = 0

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import canon, decks
+from . import canon
 from .digraph import Digraph, from_arcs
+from .errors import HypothesisUnmet, IsomorphicInputs
 from .report import Family, make_family
 from .stability import is_switching_stable
 
@@ -152,14 +153,10 @@ def _check_group(name: str, keys: tuple[str, ...]) -> tuple[bool, str]:
         return ok, f"{len(STABLE_CONNECTED)} graphs switching-stable"
     sizes = []
     for key in keys:
-        entry = _BY_KEY[key]
-        codes = {canon.canonical_code(g) for g in entry.members}
-        if len(codes) != len(entry.members):
-            return False, f"{key}: members not pairwise non-isomorphic"
-        ds = [decks.t_deck(g, entry.t) for g in entry.members]
-        if any(d != ds[0] for d in ds[1:]):
-            return False, f"{key}: t-decks differ"
-        sizes.append(len(entry.members))
+        try:
+            sizes.append(len(_BY_KEY[key].as_family().members))
+        except (IsomorphicInputs, HypothesisUnmet) as exc:
+            return False, f"{key}: {exc}"
     t = _BY_KEY[keys[0]].t
     return True, f"t={t} sizes={sizes}"
 

@@ -229,6 +229,8 @@ def _resolve_ts(t_range, n: int) -> list[int]:
     lo, hi = t_range
     if lo < -1:
         raise RangeTooLarge(f"t must be at least -1, got {lo}")
+    if hi is not None and lo > hi:
+        raise RangeTooLarge(f"empty t range {lo}..{hi}")
     hi = n if hi is None else min(hi, n)
     return list(range(lo, hi + 1))
 

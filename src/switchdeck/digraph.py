@@ -100,12 +100,6 @@ class Permutation:
         """Left-to-right composition: (self.compose(other))(v) = other(self(v))."""
         return Permutation(tuple(other.image[w] for w in self.image))
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.image)
-        for v, w in enumerate(self.image):
-            inv[w] = v
-        return Permutation(tuple(inv))
-
     def is_identity(self) -> bool:
         return all(v == w for v, w in enumerate(self.image))
 
@@ -218,22 +212,6 @@ def apply_perm(g: Digraph, p: Permutation) -> Digraph:
     return Digraph(g.n, tuple(out))
 
 
-def underlying_apply_perm(u: UnderlyingGraph, p: Permutation) -> UnderlyingGraph:
-    if len(p) != u.n:
-        raise LengthMismatch(f"permutation length {len(p)} != order {u.n}")
-    img = p.image
-    adj = [0] * u.n
-    for v in range(u.n):
-        m = u.adj[v]
-        acc = 0
-        while m:
-            b = m & -m
-            acc |= 1 << img[b.bit_length() - 1]
-            m ^= b
-        adj[img[v]] = acc
-    return UnderlyingGraph(u.n, tuple(adj))
-
-
 def _component_masks(n: int, adj: tuple[int, ...]) -> list[int]:
     seen = 0
     comps = []
@@ -257,9 +235,7 @@ def _component_masks(n: int, adj: tuple[int, ...]) -> list[int]:
 
 
 def is_weakly_connected(g: Digraph) -> bool:
-    if g.n == 0:
-        return False
-    return len(_component_masks(g.n, underlying(g).adj)) == 1
+    return is_connected(underlying(g))
 
 
 def is_connected(u: UnderlyingGraph) -> bool:

@@ -21,7 +21,6 @@ from .digraph import (
     apply_perm,
     is_weakly_connected,
     underlying,
-    underlying_apply_perm,
 )
 from .errors import (
     Disconnected,
@@ -167,9 +166,9 @@ def switch_solutions(g: Digraph, gamma: Permutation) -> Iterator[VertexSet]:
     if not is_weakly_connected(g):
         raise Disconnected("switching isomorphisms need a connected digraph")
     u = underlying(g)
-    if underlying_apply_perm(u, gamma) != u:
-        raise NotUnderlyingAut("gamma must preserve the underlying graph")
     target = apply_perm(g, gamma)
+    if underlying(target) != u:
+        raise NotUnderlyingAut("gamma must preserve the underlying graph")
     digons = g.digon_mask()
     if digons != target.digon_mask():
         return

@@ -36,6 +36,13 @@ def brute_iso(n: int, arcs_a, arcs_b) -> bool:
     return brute_code(n, frozenset(arcs_a)) == brute_code(n, frozenset(arcs_b))
 
 
+def brute_automorphisms(n: int, adj: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every relabelling that keeps the arcs of an adjacency, as image
+    tuples in lexicographic order."""
+    arcs = frozenset((v, w) for v in range(n) for w in range(n) if adj[v] >> w & 1)
+    return [p for p in permutations(range(n)) if relabel(arcs, p) == arcs]
+
+
 def least_by_code(space, domain) -> dict[bytes, int]:
     """The least string of each isomorphism class of space.digraph over a
     domain, keyed by the class's canonical code.

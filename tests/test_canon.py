@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from switchdeck.canon import (
     AutGroup,
+    _search,
     _stable_partition,
     aut_group_undirected,
     canonical_code,
@@ -21,6 +22,7 @@ from switchdeck.canon import (
 )
 from switchdeck.digraph import (
     Digraph,
+    UnderlyingGraph,
     apply_perm,
     disjoint_union,
     from_arcs,
@@ -30,13 +32,18 @@ from switchdeck.digraph import (
 from switchdeck.generate import gen_all_oriented, gen_tournaments, gen_underlying_graphs
 from switchdeck.switching import switch_vertex
 
-from ._oracles import brute_code, full_refine
+from ._oracles import brute_automorphisms, brute_code, full_refine
 from .conftest import arcs_for, digraph_pairs, digraphs, graph_and_perm
 
 # SHA-256 over the canonical codes of golden_corpus(), pinned with the
 # full-recount refinement (_oracles.full_refine): a faster search must leave
 # every code, and so this digest, as it is
 GOLDEN_CODES_SHA256 = "75af084840356c2e671cc235c21532e62706fc306a0007c1826f0b7cf6116cc3"
+# SHA-256 over canonical_perm(g).image of golden_corpus(), and over the
+# element lists of aut_group_undirected (images, in order) for every graph of
+# order <= 7, both pinned before the search pruned by automorphisms
+GOLDEN_PERMS_SHA256 = "02af6ec7dba0b44420ff87882270a223d67fa8d76ed0e525c65ed2bf2f0ec766"
+AUT_GROUPS_SHA256 = "4d1757f44f5329c5d4cd4c1c4b709bbf6b74f1358c633508d873f15eec2a997f"
 
 
 def as_arcs(g: Digraph) -> frozenset[tuple[int, int]]:
@@ -102,11 +109,12 @@ def test_identical_components_do_not_blow_up():
 
 @given(digraphs(max_n=6, oriented=False))
 def test_aut_group_fixes_underlying(g):
-    aut = aut_group_undirected(underlying(g))
+    u = underlying(g)
+    symmetric = Digraph(u.n, u.adj)
+    aut = aut_group_undirected(u)
     assert aut.order >= 1
     for p in aut.elements:
-        from switchdeck.digraph import underlying_apply_perm
-        assert underlying_apply_perm(underlying(g), p) == underlying(g)
+        assert apply_perm(symmetric, p) == symmetric
 
 
 def test_aut_group_orders_on_known_graphs():
@@ -116,6 +124,47 @@ def test_aut_group_orders_on_known_graphs():
     assert aut_group_undirected(path4).order == 2
     assert aut_group_undirected(cycle4).order == 8
     assert aut_group_undirected(complete4).order == 24
+
+
+def _adj(n, edges):
+    return underlying(from_arcs(n, edges)).adj
+
+
+C8_EDGES = [(i, (i + 1) % 8) for i in range(8)]
+ORDER8_GRAPHS = {
+    "K8": tuple(0xFF ^ 1 << v for v in range(8)),
+    "empty": (0,) * 8,
+    "K4,4": tuple(0xF0 if v < 4 else 0x0F for v in range(8)),
+    "cube": _adj(8, [(a, a ^ 1 << k) for a in range(8) for k in range(3) if a < a ^ 1 << k]),
+    "C8": _adj(8, C8_EDGES),
+    "Wagner": _adj(8, C8_EDGES + [(i, i + 4) for i in range(4)]),
+}
+
+
+def test_aut_group_lists_every_automorphism_in_image_order():
+    """The group, element order included, against a brute-force scan of
+    all relabellings: every graph of order <= 6 and six order-8 graphs."""
+    graphs = [u for n in range(1, 7) for u in gen_underlying_graphs(n)]
+    graphs += [UnderlyingGraph(8, adj) for adj in ORDER8_GRAPHS.values()]
+    for u in graphs:
+        got = [p.image for p in aut_group_undirected(u).elements]
+        assert got == brute_automorphisms(u.n, u.adj), u
+
+
+def test_aut_group_of_every_graph_of_order_7_matches_the_pinned_digest():
+    digest = hashlib.sha256()
+    for n in range(1, 8):
+        for u in gen_underlying_graphs(n):
+            digest.update(repr([p.image for p in aut_group_undirected(u).elements]).encode())
+    assert digest.hexdigest() == AUT_GROUPS_SHA256
+
+
+@pytest.mark.parametrize("name", ["K8", "empty", "K4,4"])
+def test_search_prunes_by_the_automorphisms_it_finds(name):
+    """Without pruning every leaf of K8 but the first would give a
+    generator: 8! - 1 of them."""
+    _, _, gens, _ = _search(8, ORDER8_GRAPHS[name], None)
+    assert len(gens) < 8 * 8
 
 
 def golden_corpus():
@@ -148,6 +197,13 @@ def test_canonical_codes_match_the_pinned_digest():
     for g in golden_corpus():
         digest.update(canonical_code(g))
     assert digest.hexdigest() == GOLDEN_CODES_SHA256
+
+
+def test_canonical_perms_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for g in golden_corpus():
+        digest.update(bytes(canonical_perm(g).image))
+    assert digest.hexdigest() == GOLDEN_PERMS_SHA256
 
 
 @st.composite

@@ -1,5 +1,7 @@
 """The bundled reference families and their self-verification."""
 
+from dataclasses import replace
+
 import pytest
 
 from switchdeck import catalog
@@ -48,6 +50,18 @@ def test_verify_corpus_passes_every_group():
     assert len(results) == 13
     for name, ok, detail in results:
         assert ok, f"{name}: {detail}"
+
+
+def test_verify_corpus_reports_a_group_that_fails_its_checks(monkeypatch):
+    paths = catalog.family("paths-3")
+    triangle = catalog.family("cycles-3").members[0]
+    for members, detail in [
+            ((paths.members[0],) * 2, "family members must be pairwise non-isomorphic"),
+            ((paths.members[0], triangle), "family members must share the 1-deck")]:
+        monkeypatch.setitem(catalog._BY_KEY, "paths-3", replace(paths, members=members))
+        rows = {name: (ok, d) for name, ok, d in catalog.verify_corpus()}
+        assert rows["paths-3"] == (False, f"paths-3: {detail}")
+        assert rows["paths-4"][0]
 
 
 def test_expected_families_match_figures():

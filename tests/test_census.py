@@ -96,6 +96,23 @@ def test_group_by_deck_skips_deckless_graphs_at_negative_t():
     assert group_by_deck([TRIANGLE, transitive], t=-1) == []
 
 
+def test_group_by_deck_rejects_t_below_minus_one():
+    with pytest.raises(RangeTooLarge):
+        group_by_deck(gen_oriented_paths(4), -2)
+
+
+def test_inverted_t_range_is_rejected_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("census ran on an empty t range")
+
+    monkeypatch.setattr(census, "_space_census", no_work)
+    with pytest.raises(RangeTooLarge):
+        run_census("paths", (3, 5), (3, 1))
+    monkeypatch.undo()
+    # an upper bound above n is clamped to n, not rejected
+    assert run_census("paths", (3, 3), (1, 9)).families_at(3)
+
+
 def test_switching_adjacent():
     assert switching_adjacent(PATH_FF, PATH_FB)
     assert switching_adjacent(PATH_FB, PATH_FF)

@@ -54,6 +54,11 @@ def test_deck_missing_own_card(capsys):
     assert rc == cli.EXIT_CARD and "error:" in err
 
 
+def test_deck_rejects_t_below_minus_one(capsys):
+    rc, out, err = run(capsys, "deck", "&BP_", "-t", "-2")
+    assert rc == cli.EXIT_USAGE and out == "" and "error:" in err
+
+
 def test_deck_malformed_input(capsys):
     rc, _, err = run(capsys, "deck", "not-digraph6")
     assert rc == cli.EXIT_USAGE and "error:" in err
@@ -92,6 +97,8 @@ def test_families_range_errors(capsys):
     assert rc == cli.EXIT_USAGE and "error:" in err
     rc, _, err = run(capsys, "families", "cycles", "3..21")
     assert rc == cli.EXIT_HEAVY
+    rc, out, err = run(capsys, "families", "paths", "3..5", "2..1")
+    assert rc == cli.EXIT_USAGE and out == "" and "error:" in err
 
 
 def test_families_shard_merge(capsys, tmp_path):
