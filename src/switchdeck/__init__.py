@@ -19,7 +19,6 @@ from .canon import (
     is_isomorphic,
 )
 from .census import (
-    CLASS_BOUNDS,
     definite_components,
     group_by_deck,
     possible_components,
@@ -64,11 +63,12 @@ from .errors import (
     HypothesisUnmet,
     IsomorphicInputs,
     NotConnected,
-    RangeTooLarge,
+    OutOfRange,
     SwitchDeckError,
     WUndefined,
 )
 from .generate import (
+    CLASS_BOUNDS,
     gen_all_oriented,
     gen_oriented_cycles,
     gen_oriented_maxdeg2,
@@ -98,7 +98,7 @@ __all__ = [
     "CycleOrientation", "CycleSpace", "Deck", "DichotomyViolated", "Digraph",
     "EMPTY", "Family", "HeavyFlagRequired", "HypothesisUnmet",
     "IsomorphicInputs", "MAX_N", "NotConnected", "OrientationSpace",
-    "PathSpace", "Permutation", "RangeTooLarge", "Rotation", "SearchReport",
+    "OutOfRange", "PathSpace", "Permutation", "Rotation", "SearchReport",
     "SwitchDeckError", "UnderlyingGraph", "VertexSet", "WUndefined",
     "apply_perm", "aut_group_undirected", "canonical_code", "canonical_form",
     "canonical_perm", "catalog", "check_stable_set_bound",

@@ -44,7 +44,7 @@ from .digraph import (
     components,
     in_masks,
 )
-from .errors import TooLarge
+from .errors import OutOfRange
 from .spaces import concat_reps, group_min, index_chunk, scan_reps
 
 CanonicalCode = bytes
@@ -290,7 +290,7 @@ def aut_group_undirected(u: UnderlyingGraph) -> AutGroup:
     ascending by image, off the stabiliser chain of a search of the whole
     graph (see the module docstring)."""
     if u.n > AUT_MAX_N:
-        raise TooLarge(f"order {u.n} exceeds automorphism cap {AUT_MAX_N}")
+        raise OutOfRange(f"order {u.n} exceeds automorphism cap {AUT_MAX_N}")
     n = u.n
     _, _, gens, path = _search(n, u.adj, None)
     elements = [tuple(range(n))]

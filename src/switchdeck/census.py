@@ -41,34 +41,20 @@ from .digraph import (
 from .errors import (
     CardAbsent,
     DichotomyViolated,
-    HeavyFlagRequired,
     HypothesisUnmet,
     IsomorphicInputs,
     LengthMismatch,
     NotConnected,
     NotDisconnected,
     OrderMismatch,
-    RangeTooLarge,
+    OutOfRange,
     UniverseNotClosed,
 )
+from .generate import MAXDEG2_SHAPE_MAX_N, check_orders
 from .report import Family, SearchReport, make_family
 from .spaces import _CHUNK
 from .stability import is_switching_stable, is_switching_stable_set
 from .switching import switch_vertex
-
-# label -> (n_min, n_max, heavy_over): orders above heavy_over need heavy=True
-CLASS_BOUNDS: dict[str, tuple[int, int, int]] = {
-    "paths": (1, 30, 20),
-    "cycles": (3, 30, 20),
-    "digon-cycles": (3, 20, 16),
-    "maxdeg2": (1, 30, 16),
-    "tournaments": (1, 8, 8),
-    "all-oriented": (1, 8, 7),
-}
-
-# maxdeg2 orders up to this run one census unit per component shape; larger
-# orders run the reduced span (plain decks only)
-MAXDEG2_SHAPE_MAX_N = 16
 
 _HOLD_LIMIT = 1 << 26   # spaces with more classes regenerate their chunks per pass
 
@@ -228,9 +214,9 @@ def _resolve_ts(t_range, n: int) -> list[int]:
         return [0]
     lo, hi = t_range
     if lo < -1:
-        raise RangeTooLarge(f"t must be at least -1, got {lo}")
+        raise OutOfRange(f"t must be at least -1, got {lo}")
     if hi is not None and lo > hi:
-        raise RangeTooLarge(f"empty t range {lo}..{hi}")
+        raise OutOfRange(f"empty t range {lo}..{hi}")
     hi = n if hi is None else min(hi, n)
     return list(range(lo, hi + 1))
 
@@ -504,28 +490,28 @@ def _census_one_underlying(u, n: int, ts: Sequence[int]) -> tuple[list[Family], 
 # ---------------------------------------------------------------------------
 # driver
 
-def _validate(label: str, lo: int, hi: int, heavy: bool):
-    if label not in CLASS_BOUNDS:
-        raise RangeTooLarge(f"unknown class {label!r}")
-    n_min, n_max, heavy_over = CLASS_BOUNDS[label]
-    if lo > hi:
-        raise RangeTooLarge(f"empty range {lo}..{hi}")
-    if lo < n_min or hi > n_max:
-        raise RangeTooLarge(
-            f"{label} census supports {n_min}..{n_max}, got {lo}..{hi}"
-        )
-    if hi > heavy_over and not heavy:
-        raise HeavyFlagRequired(
-            f"{label} orders above {heavy_over} need heavy=True (asked for {hi})"
-        )
+_SPACES = {
+    "paths": spaces.PathSpace,
+    "cycles": spaces.CycleSpace,
+    "digon-cycles": lambda n: spaces.CycleSpace(n, digons=True),
+}
 
 
-def _space_for(label: str, n: int):
-    if label == "paths":
-        return spaces.PathSpace(n)
-    if label == "cycles":
-        return spaces.CycleSpace(n)
-    return spaces.CycleSpace(n, digons=True)
+def _space_tasks(label: str):
+    """The work units of one order of a string class: its whole space."""
+    return lambda n, ts: [lambda: _space_census(_SPACES[label](n), n, ts, label)]
+
+
+# census class -> (n, ts) -> the work units of that order; maxdeg2 orders
+# above the shape ceiling have none, the reduced span covers them
+CENSUS_UNITS: dict[str, Callable[[int, list[int]], list[Callable]]] = {
+    "paths": _space_tasks("paths"),
+    "cycles": _space_tasks("cycles"),
+    "digon-cycles": _space_tasks("digon-cycles"),
+    "maxdeg2": lambda n, ts: _shape_tasks(n, ts) if n <= MAXDEG2_SHAPE_MAX_N else [],
+    "tournaments": lambda n, ts: [lambda: _census_tournaments(n, ts)],
+    "all-oriented": _all_oriented_tasks,
+}
 
 
 def run_census(class_label: str, n_range: tuple[int, int], t_range=None,
@@ -539,37 +525,27 @@ def run_census(class_label: str, n_range: tuple[int, int], t_range=None,
     """
     t0 = time.monotonic()
     lo, hi = n_range
-    _validate(class_label, lo, hi, heavy)
+    if class_label not in CENSUS_UNITS:
+        raise OutOfRange(f"unknown census class {class_label!r}")
+    check_orders(class_label, lo, hi, heavy)
     if (class_label == "maxdeg2" and hi > MAXDEG2_SHAPE_MAX_N
             and _resolve_ts(t_range, hi) != [0]):
-        raise RangeTooLarge(
+        raise OutOfRange(
             f"maxdeg2 orders above {MAXDEG2_SHAPE_MAX_N} support plain decks (t = 0) only"
         )
+    if shard is not None:
+        idx, total = shard
+        if total < 1:
+            raise OutOfRange(f"shard count must be at least 1, got {total}")
+        if not 0 <= idx < total:
+            raise OutOfRange(f"shard index {idx} outside 0..{total - 1}")
     tasks: list[Callable[[], _TaskOut]] = []
-
-    def tagged(n: int, fn: Callable[[], tuple[list[Family], int]]):
-        tasks.append(lambda: _tag(n, fn()))
-
     for n in range(lo, hi + 1):
-        ts = _resolve_ts(t_range, n)
-        if class_label in ("paths", "cycles", "digon-cycles"):
-            space = _space_for(class_label, n)
-            tagged(n, lambda space=space, n=n, ts=ts:
-                   _space_census(space, n, ts, class_label))
-        elif class_label == "tournaments":
-            tagged(n, lambda n=n, ts=ts: _census_tournaments(n, ts))
-        elif class_label == "maxdeg2" and n <= MAXDEG2_SHAPE_MAX_N:
-            for fn in _shape_tasks(n, ts):
-                tagged(n, fn)
-        elif class_label == "all-oriented":
-            for fn in _all_oriented_tasks(n, ts):
-                tagged(n, fn)
+        units = CENSUS_UNITS[class_label](n, _resolve_ts(t_range, n))
+        tasks.extend(lambda n=n, fn=fn: _tag(n, fn()) for fn in units)
     if class_label == "maxdeg2" and hi > MAXDEG2_SHAPE_MAX_N:
         tasks.extend(_reduced_span_tasks(max(lo, MAXDEG2_SHAPE_MAX_N + 1), hi))
     if shard is not None:
-        idx, total = shard
-        if not 0 <= idx < total:
-            raise RangeTooLarge(f"shard index {idx} outside 0..{total - 1}")
         tasks = tasks[idx::total]
     report = SearchReport(class_label, (lo, hi),
                           tuple(t_range) if t_range is not None else None,

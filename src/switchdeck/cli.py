@@ -12,23 +12,16 @@ invariant violated by a discovered family.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Iterable
 
 from . import catalog, census, decks, generate, spaces
-from .census import CLASS_BOUNDS, run_census
+from .census import CENSUS_UNITS, run_census
 from .cycles import CycleOrientation, Rotation, dist_set, find_W, verify_w_size_reconstruction
 from .digraph import Digraph, apply_perm, format_digraph6, parse_digraph6
-from .errors import (
-    CardAbsent,
-    DichotomyViolated,
-    HeavyFlagRequired,
-    RangeTooLarge,
-    SwitchDeckError,
-)
+from .errors import CardAbsent, DichotomyViolated, HeavyFlagRequired
+from .generate import MAXDEG2_SHAPE_MAX_N, check_orders
 from .report import SearchReport, merge_reports
-from .stability import STABLE_SCAN_MAX_N, classify_stable_connected, gamma_group
+from .stability import classify_stable_connected, gamma_group
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -36,13 +29,6 @@ EXIT_USAGE = 2
 EXIT_HEAVY = 3
 EXIT_CARD = 4
 EXIT_DICHOTOMY = 5
-
-# class -> (n_min, n_max, heavy_over) for graph streaming
-GEN_BOUNDS = {
-    **CLASS_BOUNDS,
-    "maxdeg2": (1, census.MAXDEG2_SHAPE_MAX_N, census.MAXDEG2_SHAPE_MAX_N),
-    "underlying": (1, generate.UNDERLYING_MAX_N, generate.UNDERLYING_MAX_N),
-}
 
 
 def _parse_n_range(text: str) -> tuple[int, int]:
@@ -69,53 +55,39 @@ def _parse_shard(text: str) -> tuple[int, int]:
     return int(i), int(k)
 
 
-def _check_gen_bounds(label: str, n: int, heavy: bool):
-    n_min, n_max, heavy_over = GEN_BOUNDS[label]
-    if not n_min <= n <= n_max:
-        raise SwitchDeckError(f"{label} generation supports {n_min}..{n_max}")
-    if n > heavy_over and not heavy:
-        raise HeavyFlagRequired(
-            f"{label} at order {n} needs --heavy (above {heavy_over})"
-        )
+# class -> n -> its classes; underlying graphs stream as their symmetric
+# digraphs (all edges digons)
+_GEN = {
+    "paths": generate.gen_oriented_paths,
+    "cycles": generate.gen_oriented_cycles,
+    "digon-cycles": lambda n: generate.gen_oriented_cycles(n, digons=True),
+    "maxdeg2": generate.gen_oriented_maxdeg2,
+    "tournaments": generate.gen_tournaments,
+    "all-oriented": generate.gen_all_oriented,
+    "underlying": lambda n: (Digraph(u.n, u.adj) for u in generate.gen_underlying_graphs(n)),
+}
 
+# class -> n -> its class count, for the classes counted without enumerating
+_COUNT = {
+    "paths": lambda n: spaces.PathSpace(n).count(),
+    "cycles": lambda n: spaces.CycleSpace(n).count(),
+    "digon-cycles": lambda n: spaces.CycleSpace(n, digons=True).count(),
+    "maxdeg2": census._maxdeg2_class_count,
+}
 
-def _gen_stream(label: str, n: int) -> Iterable[str]:
-    if label == "paths":
-        return (format_digraph6(g) for g in generate.gen_oriented_paths(n))
-    if label == "cycles":
-        return (format_digraph6(g) for g in generate.gen_oriented_cycles(n))
-    if label == "digon-cycles":
-        return (format_digraph6(g) for g in generate.gen_oriented_cycles(n, digons=True))
-    if label == "maxdeg2":
-        return (format_digraph6(g) for g in generate.gen_oriented_maxdeg2(n))
-    if label == "tournaments":
-        return (format_digraph6(g) for g in generate.gen_tournaments(n))
-    if label == "all-oriented":
-        return (format_digraph6(g) for g in generate.gen_all_oriented(n))
-    # underlying graphs stream as their symmetric digraphs (all edges digons)
-    return (format_digraph6(Digraph(u.n, u.adj))
-            for u in generate.gen_underlying_graphs(n))
-
-
-def _gen_count(label: str, n: int) -> int:
-    if label == "paths":
-        return spaces.PathSpace(n).count()
-    if label == "cycles":
-        return spaces.CycleSpace(n).count()
-    if label == "digon-cycles":
-        return spaces.CycleSpace(n, digons=True).count()
-    if label == "maxdeg2":
-        return census._maxdeg2_class_count(n)
-    return sum(1 for _ in _gen_stream(label, n))
+# gen streams maxdeg2 one component shape at a time, up to the shape ceiling
+_GEN_MAX_N = {"maxdeg2": MAXDEG2_SHAPE_MAX_N}
 
 
 def _cmd_gen(args) -> int:
-    _check_gen_bounds(args.graph_class, args.n, args.heavy)
+    label, n = args.graph_class, args.n
+    check_orders(label, n, n, args.heavy, n_max=_GEN_MAX_N.get(label))
     if args.count:
-        print(_gen_count(args.graph_class, args.n))
+        count = _COUNT.get(label)
+        print(count(n) if count else sum(1 for _ in _GEN[label](n)))
         return EXIT_OK
-    for line in _gen_stream(args.graph_class, args.n):
-        print(line)
+    for g in _GEN[label](n):
+        print(format_digraph6(g))
     return EXIT_OK
 
 
@@ -146,11 +118,7 @@ def _cmd_families(args) -> int:
 
 def _cmd_stable(args) -> int:
     lo, hi = _parse_n_range(args.n_range)
-    if not 1 <= lo <= hi <= STABLE_SCAN_MAX_N:
-        raise RangeTooLarge(f"stable classification supports 1..{STABLE_SCAN_MAX_N}, "
-                            f"got {lo}..{hi}")
-    if hi > 7 and not args.heavy:
-        raise HeavyFlagRequired("stable classification above order 7 needs --heavy")
+    check_orders("stable", lo, hi, args.heavy)
     total = 0
     for n in range(lo, hi + 1):
         for g in classify_stable_connected(n):
@@ -219,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="stream one graph class as digraph6 lines")
-    p.add_argument("graph_class", choices=sorted(GEN_BOUNDS))
+    p.add_argument("graph_class", choices=sorted(_GEN))
     p.add_argument("n", type=int)
     p.add_argument("--count", action="store_true", help="print only the class count")
     p.add_argument("--heavy", action="store_true",
@@ -232,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_deck)
 
     p = sub.add_parser("families", help="exhaustive t-deck family census")
-    p.add_argument("graph_class", choices=sorted(CLASS_BOUNDS))
+    p.add_argument("graph_class", choices=sorted(CENSUS_UNITS))
     p.add_argument("n_range", help="orders, e.g. 3..8 or 8")
     p.add_argument("t_range", nargs="?", default="0",
                    help="deck variants, e.g. -1..n or 0 (default 0)")
@@ -289,7 +257,7 @@ def main(argv=None) -> int:
     except DichotomyViolated as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DICHOTOMY
-    except (SwitchDeckError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

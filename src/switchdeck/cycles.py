@@ -18,7 +18,7 @@ import numpy as _np
 
 from . import spaces
 from .digraph import Digraph, Permutation, VertexSet, underlying
-from .errors import HypothesisUnmet, LengthMismatch, NotConnected, TooSmall, WUndefined
+from .errors import HypothesisUnmet, LengthMismatch, NotConnected, OutOfRange, WUndefined
 from .stability import switch_solutions
 from .switching import switch_vertex
 
@@ -34,7 +34,7 @@ class CycleOrientation:
 
     def __post_init__(self):
         if self.n < 3:
-            raise TooSmall(f"cycles need at least 3 vertices, got {self.n}")
+            raise OutOfRange(f"cycles need at least 3 vertices, got {self.n}")
         if len(self.dirs) != self.n:
             raise LengthMismatch(f"{len(self.dirs)} letters for a {self.n}-cycle")
         if not all(d in (FORWARD, BACKWARD, DIGON) for d in self.dirs):
@@ -98,7 +98,7 @@ class Rotation:
 
     def __post_init__(self):
         if self.n < 1:
-            raise TooSmall(f"rotations need at least 1 vertex, got {self.n}")
+            raise OutOfRange(f"rotations need at least 1 vertex, got {self.n}")
         object.__setattr__(self, "r", self.r % self.n)
 
     def as_permutation(self) -> Permutation:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .canon import CanonicalCode, canonical_code, code_to_digraph
 from .digraph import Digraph, format_digraph6
-from .errors import CardAbsent, HypothesisUnmet, IsomorphicInputs, OrderMismatch, RangeTooLarge
+from .errors import CardAbsent, HypothesisUnmet, IsomorphicInputs, OrderMismatch, OutOfRange
 from .switching import switch_vertex
 
 
@@ -51,7 +51,7 @@ def deck(g: Digraph) -> Deck:
 def t_deck(g: Digraph, t: int) -> Deck:
     """Deck plus t copies of the class of g; t >= -1."""
     if t < -1:
-        raise RangeTooLarge(f"t must be at least -1, got {t}")
+        raise OutOfRange(f"t must be at least -1, got {t}")
     counts = _card_counts(g)
     own = canonical_code(g)
     have = counts.get(own, 0) + t

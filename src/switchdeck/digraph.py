@@ -16,8 +16,8 @@ from .errors import (
     LengthMismatch,
     LoopArc,
     MalformedHeader,
+    OutOfRange,
     TruncatedBits,
-    UnsupportedSize,
     VertexOutOfRange,
 )
 
@@ -164,7 +164,7 @@ def from_arcs(n: int, arcs: Iterable[tuple[int, int]], oriented: bool = True) ->
     Duplicate arcs collapse; loops raise LoopArc.
     """
     if not 1 <= n <= MAX_N:
-        raise UnsupportedSize(f"order {n} outside 1..{MAX_N}")
+        raise OutOfRange(f"order {n} outside 1..{MAX_N}")
     out = [0] * n
     for v, w in arcs:
         if not (0 <= v < n and 0 <= w < n):
@@ -270,7 +270,7 @@ def disjoint_union(*graphs: Digraph) -> Digraph:
     """Concatenate digraphs on consecutive label blocks."""
     n = sum(g.n for g in graphs)
     if n > MAX_N:
-        raise UnsupportedSize(f"union order {n} exceeds {MAX_N}")
+        raise OutOfRange(f"union order {n} exceeds {MAX_N}")
     out: list[int] = []
     off = 0
     for g in graphs:
@@ -312,7 +312,7 @@ def parse_digraph6(text: str) -> Digraph:
         raise MalformedHeader(f"bad order byte {s[1]!r}")
     n = nchar - 63
     if not 1 <= n <= MAX_N:
-        raise UnsupportedSize(f"order {n} outside 1..{MAX_N}")
+        raise OutOfRange(f"order {n} outside 1..{MAX_N}")
     body = s[2:]
     need = (n * n + 5) // 6
     if len(body) != need:

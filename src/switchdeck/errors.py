@@ -35,17 +35,9 @@ class TruncatedBits(SwitchDeckError):
     pass
 
 
-class UnsupportedSize(SwitchDeckError):
-    pass
+# orders, t values and shards outside what is supported
 
-
-# size guards shared by canonical forms and generators
-
-class TooLarge(SwitchDeckError):
-    pass
-
-
-class TooSmall(SwitchDeckError):
+class OutOfRange(SwitchDeckError):
     pass
 
 
@@ -73,10 +65,6 @@ class MixedUnderlying(SwitchDeckError):
     pass
 
 
-class Disconnected(SwitchDeckError):
-    pass
-
-
 class NotUnderlyingAut(SwitchDeckError):
     pass
 
@@ -88,10 +76,6 @@ class WUndefined(SwitchDeckError):
 
 
 class HypothesisUnmet(SwitchDeckError):
-    pass
-
-
-class RangeTooLarge(SwitchDeckError):
     pass
 
 

@@ -16,10 +16,47 @@ from typing import Callable, Iterable, Iterator
 
 from . import canon, spaces
 from .digraph import Digraph, UnderlyingGraph, disjoint_union
-from .errors import LengthMismatch, TooLarge, TooSmall
+from .errors import HeavyFlagRequired, LengthMismatch, OutOfRange
 
-TOURNAMENT_MAX_N = 8
-UNDERLYING_MAX_N = 8
+# label -> (n_min, n_max, heavy_over): the orders each class supports, in the
+# census, gen and stable commands alike; orders above heavy_over need heavy
+CLASS_BOUNDS: dict[str, tuple[int, int, int]] = {
+    "paths": (1, 30, 20),
+    "cycles": (3, 30, 20),
+    "digon-cycles": (3, 20, 16),
+    "maxdeg2": (1, 30, 16),
+    "tournaments": (1, 8, 8),
+    "all-oriented": (1, 8, 7),
+    "underlying": (1, 8, 8),
+    "stable": (1, 8, 7),
+}
+
+# maxdeg2 orders up to this enumerate one component shape at a time; above it
+# gen stops and the census runs the reduced span (plain decks only)
+MAXDEG2_SHAPE_MAX_N = 16
+
+
+def check_orders(label: str, lo: int, hi: int, heavy: bool = False,
+                 n_max: int | None = None):
+    """Raise unless the class supports orders lo..hi.
+
+    OutOfRange for an unknown label, an empty range or orders outside the
+    class's row (n_max, when given, lowers its ceiling); HeavyFlagRequired
+    for orders above the row's heavy gate without heavy.
+    """
+    if label not in CLASS_BOUNDS:
+        raise OutOfRange(f"unknown class {label!r}")
+    n_min, ceiling, heavy_over = CLASS_BOUNDS[label]
+    if n_max is not None:
+        ceiling = min(ceiling, n_max)
+    if lo > hi:
+        raise OutOfRange(f"empty range {lo}..{hi}")
+    if lo < n_min or hi > ceiling:
+        raise OutOfRange(f"{label} supports {n_min}..{ceiling}, got {lo}..{hi}")
+    if hi > heavy_over and not heavy:
+        raise HeavyFlagRequired(
+            f"{label} orders above {heavy_over} need heavy=True or --heavy (asked for {hi})"
+        )
 
 
 def gen_oriented_paths(n: int) -> Iterator[Digraph]:
@@ -48,7 +85,7 @@ Part = tuple[str, int]
 
 def maxdeg2_shapes(n: int) -> list[tuple[Part, ...]]:
     if n < 1:
-        raise TooSmall(f"need at least 1 vertex, got {n}")
+        raise OutOfRange(f"need at least 1 vertex, got {n}")
     parts: list[Part] = [("p", k) for k in range(1, n + 1)]
     parts += [("c", k) for k in range(3, n + 1)]
     parts.sort(key=lambda pk: (pk[1], pk[0]), reverse=True)
@@ -154,10 +191,7 @@ def _vertex_children(g: Digraph) -> Iterator[Digraph]:
 
 def gen_tournaments(n: int) -> Iterator[Digraph]:
     """One representative per tournament class, by vertex extension."""
-    if n < 1:
-        raise TooSmall(f"need at least 1 vertex, got {n}")
-    if n > TOURNAMENT_MAX_N:
-        raise TooLarge(f"order {n} exceeds tournament cap {TOURNAMENT_MAX_N}")
+    check_orders("tournaments", n, n)
     level = [Digraph(1, (0,))]
     for _ in range(1, n):
         level = _next_level(level, _vertex_children)
@@ -191,10 +225,7 @@ def gen_underlying_graphs(n: int) -> Iterator[UnderlyingGraph]:
     more than the last, deduplicated by canonical code (of the symmetric
     digraph) and sorted by it, so classes arrive by edge count, then code.
     """
-    if n < 1:
-        raise TooSmall(f"need at least 1 vertex, got {n}")
-    if n > UNDERLYING_MAX_N:
-        raise TooLarge(f"order {n} exceeds undirected-graph cap {UNDERLYING_MAX_N}")
+    check_orders("underlying", n, n)
     level = [Digraph(n, (0,) * n)]
     while level:
         for g in level:

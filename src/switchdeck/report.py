@@ -126,7 +126,8 @@ def merge_reports(reports: Iterable[SearchReport]) -> SearchReport:
     Shards partition the work, so per-n counts add up; a family appearing in
     two inputs is kept once.  Shard reports must form one complete set: the
     same k, every index 0..k-1 exactly once, and no unsharded report beside
-    them.  All inputs must share the class and the t range.
+    them.  Unsharded reports must cover disjoint n ranges, or their counts
+    would add twice.  All inputs must share the class and the t range.
     """
     reports = list(reports)
     if not reports:
@@ -151,6 +152,11 @@ def merge_reports(reports: Iterable[SearchReport]) -> SearchReport:
             )
         if any(r.n_range != reports[0].n_range for r in reports):
             raise HypothesisUnmet("shards of one run share their n range")
+    else:
+        ranges = sorted(r.n_range for r in reports)
+        for a, b in zip(ranges, ranges[1:]):
+            if b[0] <= a[1]:
+                raise HypothesisUnmet(f"n ranges {a[0]}..{a[1]} and {b[0]}..{b[1]} overlap")
     lo = min(r.n_range[0] for r in reports)
     hi = max(r.n_range[1] for r in reports)
     merged = SearchReport(label, (lo, hi), t_range)

@@ -35,7 +35,7 @@ from typing import Iterable, Iterator
 import numpy as _np
 
 from .digraph import Digraph
-from .errors import TooSmall
+from .errors import OutOfRange
 
 _CHUNK = 1 << 22
 
@@ -119,7 +119,7 @@ class PathSpace:
 
     def __init__(self, n: int):
         if n < 1:
-            raise TooSmall("paths need at least one vertex")
+            raise OutOfRange("paths need at least one vertex")
         self.n = n
         self.m = n - 1
         self.mask = (1 << self.m) - 1
@@ -167,7 +167,7 @@ class CycleSpace:
 
     def __init__(self, n: int, digons: bool = False):
         if n < 3:
-            raise TooSmall("cycles need at least three vertices")
+            raise OutOfRange("cycles need at least three vertices")
         self.n = n
         self.digons = digons
         self.b = 2 if digons else 1

@@ -23,19 +23,16 @@ from .digraph import (
     underlying,
 )
 from .errors import (
-    Disconnected,
     EmptySet,
     HypothesisUnmet,
     LengthMismatch,
     MixedUnderlying,
+    NotConnected,
     NotUnderlyingAut,
     OrderMismatch,
-    TooLarge,
-    TooSmall,
+    OutOfRange,
 )
 from .switching import switch_set, switch_vertex
-
-STABLE_SCAN_MAX_N = 8
 
 # order from which the stability scan may use the group-order divisibility
 # prune instead of visiting every orientation class
@@ -65,11 +62,10 @@ def classify_stable_connected(n: int) -> list[Digraph]:
     a subgroup of Aut(underlying) -- has order |Aut(D)| * 2^(n-1).  Hence
     2^(n-1) must divide the underlying automorphism order.  Orders up to 7
     stay a plain scan so the small cases do not depend on that argument.
+    The order must lie in the "stable" row of CLASS_BOUNDS; its heavy gate
+    is the caller's to apply.
     """
-    if n < 1:
-        raise TooSmall(f"need at least 1 vertex, got {n}")
-    if n > STABLE_SCAN_MAX_N:
-        raise TooLarge(f"order {n} exceeds stability scan cap {STABLE_SCAN_MAX_N}")
+    generate.check_orders("stable", n, n, heavy=True)
     found: list[Digraph] = []
     for u in generate.gen_underlying_graphs(n):
         if not is_weakly_connected(Digraph(u.n, u.adj)):
@@ -128,7 +124,7 @@ def check_stable_set_bound(graphs: Sequence[Digraph]) -> dict:
         raise MixedUnderlying("members must orient one underlying graph")
     u = underlying(members[0])
     if not is_weakly_connected(Digraph(n, u.adj)):
-        raise Disconnected("the underlying graph must be connected")
+        raise NotConnected("the underlying graph must be connected")
     if not all(g.is_oriented() for g in members):
         raise HypothesisUnmet("members must be oriented")
     if not is_switching_stable_set(members):
@@ -164,7 +160,7 @@ def switch_solutions(g: Digraph, gamma: Permutation) -> Iterator[VertexSet]:
     if len(gamma) != n:
         raise LengthMismatch(f"permutation on {len(gamma)} vertices, digraph on {n}")
     if not is_weakly_connected(g):
-        raise Disconnected("switching isomorphisms need a connected digraph")
+        raise NotConnected("switching isomorphisms need a connected digraph")
     u = underlying(g)
     target = apply_perm(g, gamma)
     if underlying(target) != u:
@@ -216,9 +212,9 @@ def solve_switch_iso(g: Digraph, gamma: Permutation) -> VertexSet | None:
 def gamma_group(g: Digraph) -> AutGroup:
     """All switching isomorphisms of a connected digraph."""
     if g.n > canon.AUT_MAX_N:
-        raise TooLarge(f"order {g.n} exceeds automorphism cap {canon.AUT_MAX_N}")
+        raise OutOfRange(f"order {g.n} exceeds automorphism cap {canon.AUT_MAX_N}")
     if not is_weakly_connected(g):
-        raise Disconnected("switching isomorphisms need a connected digraph")
+        raise NotConnected("switching isomorphisms need a connected digraph")
     u = underlying(g)
     elems = tuple(
         p for p in canon.aut_group_undirected(u) if solve_switch_iso(g, p) is not None

@@ -32,7 +32,7 @@ from switchdeck.errors import (
     NotConnected,
     NotDisconnected,
     OrderMismatch,
-    RangeTooLarge,
+    OutOfRange,
     UniverseNotClosed,
 )
 from switchdeck.generate import (
@@ -97,7 +97,7 @@ def test_group_by_deck_skips_deckless_graphs_at_negative_t():
 
 
 def test_group_by_deck_rejects_t_below_minus_one():
-    with pytest.raises(RangeTooLarge):
+    with pytest.raises(OutOfRange):
         group_by_deck(gen_oriented_paths(4), -2)
 
 
@@ -106,7 +106,7 @@ def test_inverted_t_range_is_rejected_before_any_work(monkeypatch):
         raise AssertionError("census ran on an empty t range")
 
     monkeypatch.setattr(census, "_space_census", no_work)
-    with pytest.raises(RangeTooLarge):
+    with pytest.raises(OutOfRange):
         run_census("paths", (3, 5), (3, 1))
     monkeypatch.undo()
     # an upper bound above n is clamped to n, not rejected
@@ -470,19 +470,25 @@ def test_reduced_engine_misses_only_the_union_pairs_at_small_order():
 
 
 def test_range_validation():
-    with pytest.raises(RangeTooLarge):
+    with pytest.raises(OutOfRange):
         run_census("nonsense", (1, 4))
-    with pytest.raises(RangeTooLarge):
+    with pytest.raises(OutOfRange):
         run_census("paths", (5, 4))
-    with pytest.raises(RangeTooLarge):
+    with pytest.raises(OutOfRange):
         run_census("cycles", (2, 5))
-    with pytest.raises(RangeTooLarge):
+    with pytest.raises(OutOfRange):
         run_census("tournaments", (1, 9))
-    with pytest.raises(RangeTooLarge):
+    with pytest.raises(OutOfRange):
         run_census("maxdeg2", (17, 18), (0, 1), heavy=True)
     with pytest.raises(HeavyFlagRequired):
         run_census("cycles", (3, 21))
     with pytest.raises(HeavyFlagRequired):
         run_census("all-oriented", (8, 8))
-    with pytest.raises(RangeTooLarge):
+    with pytest.raises(OutOfRange):
         run_census("cycles", (3, 9), shard=(3, 3))
+
+
+def test_shard_count_below_one_is_rejected():
+    for total in (0, -1):
+        with pytest.raises(OutOfRange, match="shard count must be at least 1"):
+            run_census("cycles", (3, 5), shard=(0, total))

@@ -195,3 +195,20 @@ def test_families_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "families", "maxdeg2", "1..8")
     _, second, _ = run(capsys, "families", "maxdeg2", "1..8")
     assert stable_lines(first) == stable_lines(second)
+
+
+def test_families_rejects_a_shard_count_below_one(capsys):
+    rc, out, err = run(capsys, "families", "cycles", "3..5", "--shard", "0/0")
+    assert rc == cli.EXIT_USAGE and out == ""
+    assert "shard count must be at least 1" in err
+
+
+def test_merge_rejects_overlapping_unsharded_reports(capsys, tmp_path):
+    paths = []
+    for n_range in ("3..5", "4..6"):
+        rc, out, _ = run(capsys, "families", "paths", n_range, "--json")
+        assert rc == cli.EXIT_OK
+        paths.append(tmp_path / f"{n_range}.json")
+        paths[-1].write_text(out)
+    rc, out, err = run(capsys, "merge", *map(str, paths))
+    assert rc == cli.EXIT_USAGE and out == "" and "overlap" in err

@@ -19,7 +19,7 @@ from switchdeck.errors import (
     HypothesisUnmet,
     LengthMismatch,
     NotConnected,
-    TooSmall,
+    OutOfRange,
     WUndefined,
 )
 from switchdeck.switching import switch_set
@@ -45,7 +45,7 @@ def test_letter_round_trip():
     assert co.letters() == "FBDFB"
     assert co.n == 5 and co.has_digons
     assert not CycleOrientation.from_letters("FFB").has_digons
-    with pytest.raises(TooSmall):
+    with pytest.raises(OutOfRange):
         CycleOrientation.from_letters("FB")
 
 

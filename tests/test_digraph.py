@@ -24,8 +24,8 @@ from switchdeck.digraph import (
 from switchdeck.errors import (
     LoopArc,
     MalformedHeader,
+    OutOfRange,
     TruncatedBits,
-    UnsupportedSize,
     VertexOutOfRange,
 )
 
@@ -55,9 +55,9 @@ def test_parse_rejects_garbage():
     # K1's one bit is followed by five padding bits, which must be zero
     with pytest.raises(TruncatedBits):
         parse_digraph6("&@@")
-    with pytest.raises(UnsupportedSize):
+    with pytest.raises(OutOfRange):
         parse_digraph6("&?")
-    with pytest.raises(UnsupportedSize):
+    with pytest.raises(OutOfRange):
         parse_digraph6("&" + chr(MAX_N + 1 + 63))
 
 

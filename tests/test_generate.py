@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from switchdeck import census, cli, generate
 from switchdeck.canon import canonical_code
+from switchdeck.census import run_census
 from switchdeck.digraph import Digraph, is_connected, underlying
-from switchdeck.errors import TooLarge, TooSmall
+from switchdeck.errors import HeavyFlagRequired, OutOfRange
 from switchdeck.generate import (
+    CLASS_BOUNDS,
+    check_orders,
     gen_all_oriented,
     gen_oriented_cycles,
     gen_oriented_maxdeg2,
@@ -17,6 +21,7 @@ from switchdeck.generate import (
     gen_underlying_maxdeg2,
     maxdeg2_shapes,
 )
+from switchdeck.stability import classify_stable_connected
 
 from . import _oracles
 
@@ -108,9 +113,49 @@ def test_maxdeg2_shapes_partition_the_class():
 
 
 def test_generator_bounds():
-    with pytest.raises(TooSmall):
+    with pytest.raises(OutOfRange):
         list(gen_oriented_paths(0))
-    with pytest.raises(TooSmall):
+    with pytest.raises(OutOfRange):
         list(gen_oriented_cycles(2))
-    with pytest.raises(TooLarge):
+    with pytest.raises(OutOfRange):
         list(gen_underlying_graphs(9))
+
+
+def _library_entry(label: str, n: int, heavy: bool):
+    """Call the library entry point of a bounds row at order n."""
+    if label == "underlying":
+        return next(gen_underlying_graphs(n))
+    if label == "stable":
+        # classify_stable_connected runs any order in range; its heavy gate
+        # is check_orders' to apply
+        check_orders(label, n, n, heavy)
+        return classify_stable_connected(n)
+    return run_census(label, (n, n), heavy=heavy)
+
+
+def _cli_args(label: str, n: int) -> list[str]:
+    if label == "underlying":
+        return ["gen", label, str(n)]
+    if label == "stable":
+        return ["stable", f"{n}..{n}"]
+    return ["families", label, f"{n}..{n}"]
+
+
+@pytest.mark.parametrize("label", sorted(CLASS_BOUNDS))
+def test_every_bounds_row_rejects_its_edges_before_enumerating(label, monkeypatch, capsys):
+    def enumerated(*args, **kwargs):
+        raise AssertionError(f"{label} enumerated before its order check")
+
+    for owner, name in ((generate, "_next_level"), (census, "_space_census"),
+                        (census, "_census_one_shape"), (census, "_census_reduced_span"),
+                        (census, "_census_tournaments")):
+        monkeypatch.setattr(owner, name, enumerated)
+    n_min, n_max, heavy_over = CLASS_BOUNDS[label]
+    cases = [(n_min - 1, OutOfRange, cli.EXIT_USAGE), (n_max + 1, OutOfRange, cli.EXIT_USAGE)]
+    if heavy_over < n_max:
+        cases.append((heavy_over + 1, HeavyFlagRequired, cli.EXIT_HEAVY))
+    for n, error, code in cases:
+        with pytest.raises(error):
+            _library_entry(label, n, heavy=False)
+        assert cli.main(_cli_args(label, n)) == code
+        assert capsys.readouterr().out == ""

@@ -161,3 +161,13 @@ def test_merge_rejects_anything_but_one_complete_shard_set(cycle_shards):
         merge_reports([a, run_census("paths", (3, 6), (-1, None), shard=(1, 2))])
     with pytest.raises(HypothesisUnmet):
         merge_reports([a, run_census("cycles", (3, 7), (-1, None), shard=(1, 2))])
+
+
+def test_merge_rejects_unsharded_reports_with_overlapping_orders():
+    a = run_census("paths", (3, 5))
+    with pytest.raises(HypothesisUnmet):
+        merge_reports([a, a])  # counts would double to {3: 6, 4: 8, 5: 20}
+    with pytest.raises(HypothesisUnmet):
+        merge_reports([a, run_census("paths", (4, 6))])  # 4 and 5 counted twice
+    assert merge_reports([a, run_census("paths", (6, 6))]).counts == \
+        run_census("paths", (3, 6)).counts

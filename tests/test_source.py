@@ -8,6 +8,7 @@ from pathlib import Path
 import switchdeck
 
 SRC = Path(switchdeck.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def test_library_has_no_assert_statements():
@@ -58,3 +59,37 @@ def test_library_has_no_unused_imports():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in _imported_names(tree).items() if name not in used]
     assert unused == []
+
+
+def _called_name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def test_every_error_class_is_raised_and_expected_by_a_test():
+    """Each exception class but the base is raised somewhere in the library
+    and named by some pytest.raises, so no dead class lingers in errors.py."""
+    errors = ast.parse((SRC / "errors.py").read_text())
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    classes.discard("SwitchDeckError")
+    assert classes
+    raised = {
+        _called_name(node.exc)
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Raise) and node.exc is not None
+    }
+    expected = {
+        _called_name(name)
+        for path in TESTS.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and _called_name(node) == "raises" and node.args
+        for name in ast.walk(node.args[0])
+    }
+    assert sorted(classes - raised) == []
+    assert sorted(classes - expected) == []

@@ -21,11 +21,11 @@ from switchdeck.digraph import (
     underlying,
 )
 from switchdeck.errors import (
-    Disconnected,
     EmptySet,
     MixedUnderlying,
+    NotConnected,
     NotUnderlyingAut,
-    TooLarge,
+    OutOfRange,
 )
 from switchdeck.stability import (
     _switch_span_basis,
@@ -62,7 +62,7 @@ def test_classification_finds_exactly_three_small_graphs():
     for n in range(1, 5):
         found.extend(classify_stable_connected(n))
     assert [format_digraph6(g) for g in found] == ["&@?", "&AO", "&CWOG"]
-    with pytest.raises(TooLarge):
+    with pytest.raises(OutOfRange):
         classify_stable_connected(9)
 
 
@@ -105,7 +105,7 @@ def test_stable_set_bound_reports():
     with pytest.raises(MixedUnderlying):
         check_stable_set_bound([from_arcs(4, [(0, 1), (1, 2), (2, 3)]),
                                 STABLE_C4])
-    with pytest.raises(Disconnected):
+    with pytest.raises(NotConnected):
         check_stable_set_bound([disjoint_union(K1, K1)])
 
 
@@ -158,7 +158,7 @@ def test_solve_switch_iso_examples():
     assert solve_switch_iso(TRIANGLE, flip) is None
     with pytest.raises(NotUnderlyingAut):
         solve_switch_iso(from_arcs(3, [(0, 1), (1, 2)]), rot)
-    with pytest.raises(Disconnected):
+    with pytest.raises(NotConnected):
         solve_switch_iso(disjoint_union(ARC, K1), Permutation.identity(3))
 
 
