@@ -527,12 +527,13 @@ def run_census(class_label: str, n_range: tuple[int, int], t_range=None,
     lo, hi = n_range
     if class_label not in CENSUS_UNITS:
         raise OutOfRange(f"unknown census class {class_label!r}")
-    check_orders(class_label, lo, hi, heavy)
+    # the t limit comes first: no heavy flag can lift it
     if (class_label == "maxdeg2" and hi > MAXDEG2_SHAPE_MAX_N
             and _resolve_ts(t_range, hi) != [0]):
         raise OutOfRange(
             f"maxdeg2 orders above {MAXDEG2_SHAPE_MAX_N} support plain decks (t = 0) only"
         )
+    check_orders(class_label, lo, hi, heavy)
     if shard is not None:
         idx, total = shard
         if total < 1:

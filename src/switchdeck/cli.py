@@ -12,13 +12,14 @@ invariant violated by a discovered family.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import catalog, census, decks, generate, spaces
 from .census import CENSUS_UNITS, run_census
 from .cycles import CycleOrientation, Rotation, dist_set, find_W, verify_w_size_reconstruction
 from .digraph import Digraph, apply_perm, format_digraph6, parse_digraph6
-from .errors import CardAbsent, DichotomyViolated, HeavyFlagRequired
+from .errors import CardAbsent, DichotomyViolated, HeavyFlagRequired, OutOfRange
 from .generate import MAXDEG2_SHAPE_MAX_N, check_orders
 from .report import SearchReport, merge_reports
 from .stability import classify_stable_connected, gamma_group
@@ -31,27 +32,25 @@ EXIT_CARD = 4
 EXIT_DICHOTOMY = 5
 
 
+def _match(pattern: str, what: str, form: str, text: str) -> tuple:
+    m = re.fullmatch(pattern, text.strip())
+    if m is None:
+        raise OutOfRange(f"{what} {text.strip()!r} is not of the form {form}")
+    return m.groups()
+
+
 def _parse_n_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
+    lo, hi = _match(r"(-?\d+)(?:\.\.(-?\d+))?", "orders", "N or LO..HI", text)
+    return int(lo), int(hi or lo)
 
 
 def _parse_t_range(text: str) -> tuple[int, int | None]:
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), (None if hi == "n" else int(hi))
-    if text == "n":
-        raise ValueError("t lower bound must be a number")
-    v = int(text)
-    return v, v
+    lo, hi = _match(r"(-?\d+)(?:\.\.(-?\d+|n))?", "t range", "T, LO..HI or LO..n", text)
+    return int(lo), (None if hi == "n" else int(hi or lo))
 
 
 def _parse_shard(text: str) -> tuple[int, int]:
-    i, k = text.split("/", 1)
+    i, k = _match(r"(-?\d+)/(-?\d+)", "shard", "I/K", text)
     return int(i), int(k)
 
 

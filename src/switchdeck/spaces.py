@@ -13,7 +13,10 @@ PathSpace, CycleSpace and canon.OrientationSpace share one protocol, whose
 class arithmetic all runs on uint64 arrays:
 
 - domain_total, and domain_chunk(start, stop): the strings at domain
-  indices [start, stop), ascending;
+  indices [start, stop), ascending.  A domain holds the strings that can be
+  orbit minima, not every string: every orientation for paths and
+  OrientationSpace, the strings starting with letter 0 (plus the all-digon
+  string) for cycles;
 - actions, and act_array(action, xs): the non-identity elements of the
   relabelling group, and each string's image under one of them;
 - orbit_min_array(xs): each string's orbit minimum, an exact class id;
@@ -29,6 +32,7 @@ that tabulated_reps builds once per space with the same array kernels.
 from __future__ import annotations
 
 from array import array
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Iterator
 
@@ -104,14 +108,17 @@ def card_of(space, x: int, v: int) -> int:
     return space._cards[space._offset[x] + v]
 
 
-def _reverse64(xs, pairs: bool):
+def _reverse64(xs, pairs: bool, width: int):
+    """Each width-bit string with its bits, or its bit pairs, in reverse
+    order: one table lookup per byte, reading only the ceil(width / 8) low
+    bytes, since the others are zero."""
     tab = _REV2 if pairs else _REV1
-    mask = _np.uint64(255)
+    nbytes = -(-width // 8)
+    b = _np.ascontiguousarray(xs, dtype="<u8").view(_np.uint8)
     acc = _np.zeros_like(xs)
-    for k in range(8):
-        byte = (xs >> _np.uint64(8 * k)) & mask
-        acc |= tab[byte.astype(_np.int64)] << _np.uint64(56 - 8 * k)
-    return acc
+    for k in range(nbytes):
+        acc |= tab[b[k::8]] << _np.uint64(8 * (nbytes - 1 - k))
+    return acc >> _np.uint64(8 * nbytes - width)
 
 
 class PathSpace:
@@ -133,7 +140,7 @@ class PathSpace:
 
     def act_array(self, action, xs):
         """Reverse each string and complement its letters: the one action."""
-        return (_reverse64(xs, pairs=False) >> _np.uint64(64 - self.m)) ^ _np.uint64(self.mask)
+        return _reverse64(xs, False, self.m) ^ _np.uint64(self.mask)
 
     orbit_min_array = group_min
 
@@ -181,20 +188,47 @@ class CycleSpace:
 
     @property
     def domain_total(self) -> int:
-        return (3 if self.digons else 2) ** self.n
+        """Strings starting with letter 0, plus the all-digon string with
+        digons: a rotation brings any 0 letter to the front, and reflection
+        turns any 1 letter into a 0, so no other string is an orbit minimum."""
+        if self.digons:
+            return 3 ** (self.n - 1) + 1
+        return 1 << (self.n - 1)
 
     def domain_chunk(self, start: int, stop: int):
-        """Packed strings for domain indices [start, stop), ascending: index
-        digit e in base 3 becomes letter slot e, so index order is string
-        order."""
-        idx = _np.arange(start, stop, dtype=_np.uint64)
+        """Packed strings for domain indices [start, stop), ascending.  These
+        are the strings that can be orbit minima, not every string.  Index
+        i < 3^(n-1) is letter 0 followed by i's n-1 base-3 digits; the last
+        index is the all-digon string, which packs above every string that
+        starts with 0.  Plain cycle indices are the strings themselves."""
         if not self.digons:
-            return idx
-        packed = _np.zeros_like(idx)
-        three = _np.uint64(3)
-        for e in range(self.n):
-            packed |= ((idx // _np.uint64(3 ** e)) % three) << _np.uint64(2 * e)
+            return index_chunk(self, start, stop)
+        body = 3 ** (self.n - 1)
+        packed = self._unpack(start, min(stop, body))
+        if stop > body:
+            packed = _np.append(packed, _np.uint64(int("10" * self.n, 2)))
         return packed
+
+    def _unpack(self, start: int, stop: int):
+        """Base-3 indices [start, stop) as packed strings, T[i // 3^h] << 2h
+        | T[i % 3^h] over h low digits, laid out as the rows of the quotient
+        by the columns of the remainder so that no index is divided."""
+        h = (self.n - 1) // 2
+        low = 3 ** h
+        table = self._half_table
+        r0, r1 = start // low, -(-stop // low)
+        grid = (table[r0:r1, None] << _np.uint64(2 * h)) | table[None, :low]
+        return grid.ravel()[start - r0 * low:stop - r0 * low]
+
+    @cached_property
+    def _half_table(self):
+        """T[j]: the ceil((n-1)/2) base-3 digits of j as packed letters."""
+        digits = self.n - 1 - (self.n - 1) // 2
+        j = _np.arange(3 ** digits, dtype=_np.uint64)
+        table = _np.zeros_like(j)
+        for e in range(digits):
+            table |= (j // _np.uint64(3 ** e) % _np.uint64(3)) << _np.uint64(2 * e)
+        return table
 
     def act_array(self, action, xs):
         r, reflect = action
@@ -217,7 +251,7 @@ class CycleSpace:
 
     def _reflect(self, xs):
         """Reverse each string and complement its direction letters."""
-        rev = _reverse64(xs, pairs=self.digons) >> _np.uint64(64 - self.width)
+        rev = _reverse64(xs, self.digons, self.width)
         if self.digons:
             return rev ^ (_np.uint64(self.low) & ~(rev >> _np.uint64(1)))
         return rev ^ _np.uint64(self.mask)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from itertools import combinations, product
@@ -373,13 +375,62 @@ def test_rep_scans_match_scalar_orbit_minima():
             assert space.reps_array().tolist() == least_per_class(space, range(1 << space.m))
 
 
+# SHA-256 over CycleSpace(n).reps_array() as little-endian uint64, n = 3..16,
+# and over CycleSpace(n, digons=True).reps_array(), n = 3..12: taken from the
+# scan over every string, before the domain shrank to the possible minima
+CYCLE_REPS_SHA256 = "535ad21620ed079a450df1abacb4a501aff0473ac8ef07ec8717c583158e221d"
+DIGON_CYCLE_REPS_SHA256 = "0f93521838602e5c69e15be5f1df616073aeca37e560742b359e763199a1debe"
+
+
+@pytest.mark.parametrize("digons, hi, want", [
+    (False, 16, CYCLE_REPS_SHA256), (True, 12, DIGON_CYCLE_REPS_SHA256)])
+def test_cycle_reps_match_the_pinned_digest(digons, hi, want):
+    digest = hashlib.sha256()
+    for n in range(3, hi + 1):
+        digest.update(CycleSpace(n, digons=digons).reps_array().astype("<u8").tobytes())
+    assert digest.hexdigest() == want
+
+
+def test_digon_cycle_domain_is_letter_0_then_the_index_digits_then_all_digons():
+    for n in (3, 4, 5, 8):
+        space = CycleSpace(n, digons=True)
+        body = 3 ** (n - 1)
+        assert space.domain_total == body + 1
+        assert CycleSpace(n).domain_total == 1 << (n - 1)
+
+        def string(i):
+            if i == body:
+                return space.from_letters((2,) * n)
+            return space.from_letters((0, *(i // 3 ** e % 3 for e in reversed(range(n - 1)))))
+
+        row = 3 ** ((n - 1) // 2)
+        spans = [(0, body + 1), (0, 0), (1, 2), (row - 1, row + 2), (row + 1, 3 * row - 1),
+                 (body - 2, body), (body - 1, body + 1), (body, body + 1), (7 % body, body)]
+        for start, stop in spans:
+            got = space.domain_chunk(start, stop)
+            assert got.dtype == np.uint64
+            assert got.tolist() == [string(i) for i in range(start, stop)]
+        assert np.all(np.diff(space.domain_chunk(0, body + 1).astype(np.int64)) > 0)
+
+
+def test_the_all_digon_string_is_alone_in_the_last_chunk():
+    for n in range(3, 9):
+        space = CycleSpace(n, digons=True)
+        chunks = list(space.rep_chunks(3 ** (n - 1)))
+        assert len(chunks) == 2
+        assert chunks[-1].tolist() == [space.from_letters((2,) * n)]
+        assert np.concatenate(chunks).tolist() == space.reps_array().tolist()
+
+
 def test_space_actions_are_relabellings_and_orbit_min_is_their_least_image():
     """Each action maps every string to one of the same class, and
     orbit_min_array, group_min over the actions and the least string of the
     class agree on every string of the domain, reps or not."""
-    binary = [PathSpace(n) for n in range(1, 10)] + [CycleSpace(n) for n in range(3, 10)]
+    binary = [PathSpace(n) for n in range(1, 10)]
     binary += [OrientationSpace(u) for n in range(1, 6) for u in gen_underlying_graphs(n)]
     cases = [(space, range(space.domain_total)) for space in binary]
+    # a cycle domain holds only the strings that can be orbit minima
+    cases += [(space, range(1 << space.width)) for space in map(CycleSpace, range(3, 10))]
     for n in range(3, 7):
         space = CycleSpace(n, digons=True)
         cases.append((space, [space.from_letters(w) for w in product(range(3), repeat=n)]))
@@ -405,7 +456,8 @@ def test_space_actions_are_relabellings_and_orbit_min_is_their_least_image():
 def test_part_cards_are_the_least_string_of_the_switched_class():
     for space in [PathSpace(n) for n in range(1, 9)] + [CycleSpace(n) for n in range(3, 9)]:
         least: dict[bytes, int] = {}
-        for x in range(space.domain_total):
+        every = range(1 << space.width) if isinstance(space, CycleSpace) else range(space.domain_total)
+        for x in every:
             least.setdefault(canonical_code(space.digraph(x)), x)
         for x in space.reps_array().tolist():
             for v in range(space.n):

@@ -212,3 +212,26 @@ def test_merge_rejects_overlapping_unsharded_reports(capsys, tmp_path):
         paths[-1].write_text(out)
     rc, out, err = run(capsys, "merge", *map(str, paths))
     assert rc == cli.EXIT_USAGE and out == "" and "overlap" in err
+
+
+def test_maxdeg2_t_limit_is_reported_before_the_heavy_gate(capsys):
+    for flags in ((), ("--heavy",)):
+        rc, out, err = run(capsys, "families", "maxdeg2", "17..18", "0..1", *flags)
+        assert rc == cli.EXIT_USAGE and out == ""
+        assert "support plain decks (t = 0) only" in err
+
+
+@pytest.mark.parametrize("argv, bad, form", [
+    (("families", "cycles", "3..5", "--shard", "1"), "'1'", "I/K"),
+    (("families", "cycles", "3..5", "--shard", "0/x"), "'0/x'", "I/K"),
+    (("families", "cycles", "3..x"), "'3..x'", "N or LO..HI"),
+    (("families", "cycles", "3.."), "'3..'", "N or LO..HI"),
+    (("stable", "one"), "'one'", "N or LO..HI"),
+    (("families", "cycles", "3..5", "n"), "'n'", "T, LO..HI or LO..n"),
+    (("families", "cycles", "3..5", "0..m"), "'0..m'", "T, LO..HI or LO..n"),
+])
+def test_malformed_ranges_and_shards_name_the_value_and_the_form(capsys, argv, bad, form):
+    rc, out, err = run(capsys, *argv)
+    assert rc == cli.EXIT_USAGE and out == ""
+    assert bad in err and form in err
+    assert "unpack" not in err and "int()" not in err

@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from switchdeck import catalog
+from switchdeck import catalog, stability
 from switchdeck.canon import aut_group_undirected, canonical_code, is_isomorphic
 from switchdeck.digraph import (
     Digraph,
@@ -234,3 +234,12 @@ def test_index_identity_small_orders(n):
     out = verify_index_identity(n)
     assert out["holds"]
     assert out["underlying_checked"] == [1, 1, 2, 6, 21, 112][n - 1]
+
+
+def test_divisibility_prune_keeps_the_three_small_stable_graphs(monkeypatch):
+    """The divisibility prune on the underlying graph's automorphism group
+    runs only from order 8 on; run from order 2, it must keep the scan's
+    answer through order 7."""
+    monkeypatch.setattr(stability, "_STABLE_PRUNE_MIN_N", 2)
+    found = [g for n in range(1, 8) for g in classify_stable_connected(n)]
+    assert [format_digraph6(g) for g in found] == ["&@?", "&AO", "&CWOG"]
