@@ -371,13 +371,12 @@ class OrientationSpace:
         tables[:, 0, :] ^= _np.array([flip for _, flip in perms], dtype=_np.uint64)[:, None]
         self.actions = [Action(srcpos, dstpos, flip, tables[a])
                         for a, (srcpos, flip) in enumerate(perms)]
-        self.switch_masks = []
-        for v in range(self.n):
-            sm = 0
-            for i, (a, b) in enumerate(self.edges):
-                if v == a or v == b:
-                    sm |= 1 << (self.m - 1 - i)
-            self.switch_masks.append(sm)
+        self.vertex_images = _np.array([p.image for p in self.aut.elements[1:]],
+                                       dtype=_np.intp).reshape(-1, self.n)
+        # vertex v flips the edges at v
+        self.flips = _np.zeros(self.n, dtype=_np.uint64)
+        for i, (a, b) in enumerate(self.edges):
+            self.flips[[a, b]] |= _np.uint64(1 << (m - 1 - i))
 
     @property
     def domain_total(self) -> int:
@@ -395,8 +394,8 @@ class OrientationSpace:
 
     orbit_min_array = group_min
 
-    def switched_array(self, xs, v: int):
-        return xs ^ _np.uint64(self.switch_masks[v])
+    def switched_array(self, xs, v):
+        return xs ^ self.flips[v]
 
     domain_chunk = index_chunk
 

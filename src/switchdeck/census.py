@@ -238,7 +238,7 @@ def _adjusted_key(cards: list[int], own: int, t: int) -> tuple[int, ...] | None:
 
 def _verify_candidates(space, cand: Sequence[int], t: int, label: str) -> list[Family]:
     """Regroup signature candidates by their exact sorted card lists."""
-    cards = spaces.card_table(space, _np.array(cand, dtype=_np.uint64))
+    cards = spaces.card_table(space, _np.array(cand, dtype=_np.uint64)).T
     cards.sort(axis=1)
     buckets: dict[tuple[int, ...], list[int]] = {}
     for x, row in zip(cand, cards.tolist()):
@@ -260,20 +260,18 @@ def _mix64(a):
     return a ^ (a >> _np.uint64(31))
 
 
-def _signed(space, xs, n: int):
+def _signed(space, xs):
     """(reps, sig0, own_mix, has_own) for one chunk of representatives.
 
     sig0 sums the mixed class ids of the n cards (the plain deck), own_mix
     is the mixed id of the representative itself, and has_own marks the
     representatives whose deck holds a copy of their own class.
     """
+    cards = spaces.card_table(space, xs)
     sig0 = _np.zeros(len(xs), dtype=_np.uint64)
-    has_own = _np.zeros(len(xs), dtype=bool)
-    for v in range(n):
-        y = space.orbit_min_array(space.switched_array(xs, v))
-        sig0 += _mix64(y)
-        has_own |= y == xs
-    return xs, sig0, _mix64(xs), has_own
+    for row in cards:
+        sig0 += _mix64(row)
+    return xs, sig0, _mix64(xs), (cards == xs).any(axis=0)
 
 
 def _keyed(chunk, t: int):
@@ -301,7 +299,7 @@ def _rep_chunks(space, count: int):
         )
 
 
-def _space_census(space, n: int, ts: Sequence[int], label: str) -> tuple[list[Family], int]:
+def _space_census(space, ts: Sequence[int], label: str) -> tuple[list[Family], int]:
     """Families plus the number of isomorphism classes in the space.
 
     Up to _HOLD_LIMIT classes the signed chunks are computed once and held
@@ -313,12 +311,12 @@ def _space_census(space, n: int, ts: Sequence[int], label: str) -> tuple[list[Fa
     count = space.count()
     held = None
     if count <= _HOLD_LIMIT:
-        held = [_signed(space, xs, n) for xs in list(_rep_chunks(space, count))]
+        held = [_signed(space, xs) for xs in list(_rep_chunks(space, count))]
 
     def chunks():
         if held is not None:
             return held
-        return (_signed(space, xs, n) for xs in _rep_chunks(space, count))
+        return (_signed(space, xs) for xs in _rep_chunks(space, count))
 
     families: list[Family] = []
     for t in ts:
@@ -453,7 +451,7 @@ def _census_reduced_span(n_res: int, lo: int, hi: int) -> _TaskOut:
     k1, arc, c4 = _stable_unit_graphs()
     if ts:
         for space in (spaces.PathSpace(n_res), spaces.CycleSpace(n_res)):
-            for fam in _space_census(space, n_res, ts, "residue")[0]:
+            for fam in _space_census(space, ts, "residue")[0]:
                 residues = fam.digraphs()
                 for nk1, narc, nc4 in _stable_paddings(fam.t):
                     pad = [k1] * nk1 + [arc] * narc + [c4] * nc4
@@ -484,7 +482,7 @@ def _all_oriented_tasks(n: int, ts: Sequence[int]) -> list[Callable[[], tuple[li
 
 
 def _census_one_underlying(u, n: int, ts: Sequence[int]) -> tuple[list[Family], int]:
-    return _space_census(OrientationSpace(u), n, ts, "all-oriented")
+    return _space_census(OrientationSpace(u), ts, "all-oriented")
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +497,7 @@ _SPACES = {
 
 def _space_tasks(label: str):
     """The work units of one order of a string class: its whole space."""
-    return lambda n, ts: [lambda: _space_census(_SPACES[label](n), n, ts, label)]
+    return lambda n, ts: [lambda: _space_census(_SPACES[label](n), ts, label)]
 
 
 # census class -> (n, ts) -> the work units of that order; maxdeg2 orders

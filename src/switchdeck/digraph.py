@@ -34,14 +34,6 @@ class Digraph:
     def has_arc(self, v: int, w: int) -> bool:
         return bool(self.out[v] >> w & 1)
 
-    def arcs(self) -> Iterator[tuple[int, int]]:
-        for v in range(self.n):
-            m = self.out[v]
-            while m:
-                b = m & -m
-                yield v, b.bit_length() - 1
-                m ^= b
-
     def arc_count(self) -> int:
         return sum(m.bit_count() for m in self.out)
 
@@ -129,14 +121,8 @@ class VertexSet:
     def sym_diff(self, other: "VertexSet") -> "VertexSet":
         return VertexSet(self.n, self.bits ^ other.bits)
 
-    def __contains__(self, v: int) -> bool:
-        return bool(self.bits >> v & 1)
-
     def __len__(self) -> int:
         return self.bits.bit_count()
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members())
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,9 +135,6 @@ class ComponentDecomposition:
 
     blocks: tuple[VertexSet, ...]
     parts: tuple[Digraph, ...]
-
-    def __len__(self) -> int:
-        return len(self.blocks)
 
 
 EMPTY = Digraph(0, ())

@@ -19,14 +19,20 @@ class arithmetic all runs on uint64 arrays:
   string) for cycles;
 - actions, and act_array(action, xs): the non-identity elements of the
   relabelling group, and each string's image under one of them;
+- vertex_images: one row per action, the vertex that action sends each
+  vertex to;
 - orbit_min_array(xs): each string's orbit minimum, an exact class id;
-- switched_array(xs, v): each string with vertex v switched;
+- switched_array(xs, v): each string with vertex v switched, from a uint64
+  flips table built once per space, so v may be an int or an integer array
+  that broadcasts against xs;
 - rep_chunks(chunk) and reps_array(): the orbit minima, ascending;
   rep_chunks is scan_reps, the one shrinking scan over the actions;
 - count(): the class count, without a scan; digraph(x): one string's digraph.
 
-PathSpace and CycleSpace also read single cards, card(x, v), from a table
-that tabulated_reps builds once per space with the same array kernels.
+card_table is the one card kernel over that protocol: the class ids of all n
+cards of each string, from one image per action.  PathSpace and CycleSpace
+also read single cards, card(x, v), from a table that tabulated_reps builds
+once per space with it.
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ from .digraph import Digraph
 from .errors import OutOfRange
 
 _CHUNK = 1 << 22
+# strings per slice of card_table: its n-row temporaries stay small
+_CARD_COLUMNS = 1 << 12
 
 # 256-entry tables reversing the bits, and the bit pairs, within a byte
 _REV1 = _np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=_np.uint64)
@@ -81,10 +89,20 @@ def index_chunk(space, start: int, stop: int):
 
 
 def card_table(space, xs):
-    """Row i holds the class ids of the n cards of xs[i]: the orbit minima of
-    its single-vertex switches, which are exact class ids."""
-    return _np.stack([space.orbit_min_array(space.switched_array(xs, v))
-                      for v in range(space.n)], axis=1)
+    """Row v holds the class ids of the cards at vertex v of each string in
+    xs: the orbit minima of its switches at v.  A relabelling h takes the
+    switch at v to the switch at h(v), h(switch_v x) = switch_h(v)(h x), so
+    one image of each string per action serves all n cards."""
+    out = _np.empty((space.n, len(xs)), dtype=_np.uint64)
+    vertices = _np.arange(space.n)[:, None]
+    for start in range(0, len(xs), _CARD_COLUMNS):
+        x = xs[start:start + _CARD_COLUMNS]
+        best = out[:, start:start + len(x)]
+        best[...] = space.switched_array(x, vertices)
+        for action, image in zip(space.actions, space.vertex_images):
+            _np.minimum(best, space.switched_array(space.act_array(action, x), image[:, None]),
+                        out=best)
+    return out
 
 
 def tabulated_reps(space) -> list[int]:
@@ -95,7 +113,7 @@ def tabulated_reps(space) -> list[int]:
     if reps is None:
         xs = space.reps_array()
         reps = xs.tolist()
-        space._cards = array("Q", card_table(space, xs).tobytes())
+        space._cards = array("Q", card_table(space, xs).T.tobytes())
         space._offset = {x: i * space.n for i, x in enumerate(reps)}
         space._reps = reps
     return reps
@@ -131,6 +149,13 @@ class PathSpace:
         self.m = n - 1
         self.mask = (1 << self.m) - 1
         self.actions = [None] if self.m else []
+        self.vertex_images = _np.array([range(n - 1, -1, -1)] * len(self.actions),
+                                       dtype=_np.intp).reshape(-1, n)
+        # vertex v flips edge v-1 unless it is the first vertex, edge v
+        # unless it is the last
+        self.flips = _np.array([(1 << (self.m - v) if v > 0 else 0)
+                                | (1 << (self.m - 1 - v) if v < self.m else 0)
+                                for v in range(n)], dtype=_np.uint64)
 
     @property
     def domain_total(self) -> int:
@@ -144,11 +169,8 @@ class PathSpace:
 
     orbit_min_array = group_min
 
-    def switched_array(self, xs, v: int):
-        """Flip the letters of the edges at v: edge v-1 unless v is the first
-        vertex, edge v unless it is the last."""
-        flip = (1 << (self.m - v) if v > 0 else 0) | (1 << (self.m - 1 - v) if v < self.m else 0)
-        return xs ^ _np.uint64(flip)
+    def switched_array(self, xs, v):
+        return xs ^ self.flips[v]
 
     rep_chunks = scan_reps
     reps_array = concat_reps
@@ -185,6 +207,12 @@ class CycleSpace:
             self.low = int("01" * n, 2)
         # (r, reflect): reflect first if asked, then rotate by r letters
         self.actions = [(r, False) for r in range(1, n)] + [(r, True) for r in range(n)]
+        vs = _np.arange(n)
+        self.vertex_images = _np.array([((n - vs if reflect else vs) + r) % n
+                                        for r, reflect in self.actions])
+        # vertex v flips the direction bits of edges v-1 and v
+        self.flips = _np.array([(1 << self.b * (n - 1 - (v - 1) % n)) | (1 << self.b * (n - 1 - v))
+                                for v in range(n)], dtype=_np.uint64)
 
     @property
     def domain_total(self) -> int:
@@ -237,13 +265,11 @@ class CycleSpace:
     def orbit_min_array(self, xs):
         return self._orbit_min_array(xs)
 
-    def switched_array(self, xs, v: int):
+    def switched_array(self, xs, v):
         """Flip the letters of edges v-1 and v; digon letters stay put."""
-        e1, e2 = (v - 1) % self.n, v
-        flip = _np.uint64((1 << (self.b * (self.n - 1 - e1))) | (1 << (self.b * (self.n - 1 - e2))))
         if not self.digons:
-            return xs ^ flip
-        return xs ^ (flip & ~(xs >> _np.uint64(1)))
+            return xs ^ self.flips[v]
+        return xs ^ (self.flips[v] & ~(xs >> _np.uint64(1)))
 
     rep_chunks = scan_reps
     reps_array = concat_reps
@@ -260,16 +286,9 @@ class CycleSpace:
         s = _np.uint64(self.b * r)
         return ((xs >> s) | (xs << (_np.uint64(self.width) - s))) & _np.uint64(self.mask)
 
-    def _orbit_min_array(self, xs):
-        """group_min, with one reflection shared by the n reflected
-        rotations: group_min reflects n times, which made the n = 15 digon
-        signing pass 5x slower (1.4 against 7.3 s on a 2-vCPU Xeon)."""
-        rev = self._reflect(xs)
-        best = _np.minimum(xs, rev)
-        for r in range(1, self.n):
-            for base in (xs, rev):
-                _np.minimum(best, self._rotate(base, r), out=best)
-        return best
+    # orbit_min_array forwards here so that this one name covers every
+    # cycle orbit minimum; perfbench/tracer.py times the cycle kernel by it
+    _orbit_min_array = group_min
 
     def count(self) -> int:
         """Class count by orbit counting over the 2n relabellings."""

@@ -32,6 +32,7 @@ from .errors import (
     OrderMismatch,
     OutOfRange,
 )
+from .spaces import card_table
 from .switching import switch_set, switch_vertex
 
 # order from which the stability scan may use the group-order divisibility
@@ -80,12 +81,10 @@ def classify_stable_connected(n: int) -> list[Digraph]:
             continue
         space = OrientationSpace(u)
         xs = space.reps_array()
-        keep = _np.ones(len(xs), dtype=bool)
-        for v in range(n):
-            keep &= space.orbit_min_array(space.switched_array(xs, v)) == xs
-            if not keep.any():
-                break
-        found.extend(space.digraph(int(x)) for x in xs[keep])
+        # most classes fail at vertex 0 already, so test that card first
+        xs = xs[space.orbit_min_array(space.switched_array(xs, 0)) == xs]
+        stable = xs[(card_table(space, xs) == xs).all(axis=0)]
+        found.extend(space.digraph(int(x)) for x in stable)
     found.sort(key=canon.canonical_code)
     return found
 
@@ -267,7 +266,8 @@ def verify_index_identity(n: int) -> dict:
             continue
         aut = canon.aut_group_undirected(u)
         space = OrientationSpace(u)
-        basis = _switch_span_basis(space.switch_masks)
+        masks = space.flips.tolist()
+        basis = _switch_span_basis(masks)
         if len(basis) != max(n - 1, 0):
             raise HypothesisUnmet("the switch span of a connected graph has rank n - 1")
         underlying_checked += 1
@@ -278,7 +278,7 @@ def verify_index_identity(n: int) -> dict:
         flips = [0] * (1 << max(n - 1, 0))
         for wmask in range(1, len(flips)):
             low = wmask & -wmask
-            flips[wmask] = flips[wmask ^ low] ^ space.switch_masks[low.bit_length()]
+            flips[wmask] = flips[wmask ^ low] ^ masks[low.bit_length()]
         farr = _np.array(flips, dtype=_np.uint64)
         gamma_counts = _np.ones(len(xs), dtype=_np.int64)
         aut_counts = _np.ones(len(xs), dtype=_np.int64)

@@ -177,13 +177,15 @@ def test_criterion_5_tournament_census():
 
 def test_criterion_6_full_order_8_census():
     if not HEAVY:
-        announce(6, True, "SKIPPED (set SWITCHDECK_HEAVY=1; needs hours)")
+        announce(6, True, "SKIPPED (set SWITCHDECK_HEAVY=1; about 7 min: "
+                          "417 s summed over two shards on a 2-vCPU Xeon VM)")
         pytest.skip("heavy-only criterion")
     with criterion(6) as c:
         report = run_census("all-oriented", (8, 8), (0, 0), heavy=True)
         graphs = sum(f.size for f in report.families)
         assert graphs == 5559, f"graphs in families: {graphs}"
-        assert c.elapsed <= 24 * 3600
+        assert report.counts == {8: 575016219}  # oriented graphs on 8 vertices, OEIS A001174
+        assert c.elapsed <= 1200, f"took {c.elapsed:.0f}s"
         c.detail = f"5559 deck-sharing oriented graphs at n=8 in {c.elapsed:.0f}s"
 
 

@@ -334,9 +334,9 @@ def test_chunked_and_regenerated_engine_paths_match_the_default(monkeypatch):
     signed = census._signed
     calls = []
 
-    def counting(space, xs, n):
+    def counting(space, xs):
         calls.append(len(xs))
-        return signed(space, xs, n)
+        return signed(space, xs)
 
     monkeypatch.setattr(census, "_CHUNK", 1 << 10)
     monkeypatch.setattr(census, "_HOLD_LIMIT", 1 << 4)
@@ -465,6 +465,38 @@ def test_part_cards_are_the_least_string_of_the_switched_class():
                 assert space.card(x, v) == least[canonical_code(switched)]
 
 
+def _check_card_table(space, domain):
+    xs = np.array(list(domain), dtype=np.uint64)
+    table = spaces.card_table(space, xs)
+    assert table.shape == (space.n, len(xs))
+    switched = space.switched_array(xs, np.arange(space.n)[:, None])
+    for v in range(space.n):
+        assert (switched[v] == space.switched_array(xs, v)).all()
+        assert (table[v] == space.orbit_min_array(switched[v])).all()
+
+
+def test_card_table_rows_are_the_orbit_minima_of_each_vertex_switch(monkeypatch):
+    """card_table against one switch and one orbit minimum per vertex, on
+    every string of each space; a broadcast vertex array switches like each
+    vertex on its own.  Slices of 7 columns split every domain unevenly,
+    except at order 6 of OrientationSpace, which keeps the default width."""
+    cases = [(space, range(space.domain_total)) for space in map(PathSpace, range(1, 10))]
+    for n, digons in product(range(3, 10), (False, True)):
+        space = CycleSpace(n, digons)
+        letters = product(range(3 if digons else 2), repeat=n)
+        cases.append((space, [space.from_letters(w) for w in letters]))
+    orient = [OrientationSpace(u) for n in range(1, 6) for u in gen_underlying_graphs(n)]
+    orient += [OrientationSpace(underlying(from_arcs(8, arcs))) for arcs in ORDER8_UNITS.values()]
+    cases += [(space, range(space.domain_total)) for space in orient]
+    with monkeypatch.context() as m:
+        m.setattr(spaces, "_CARD_COLUMNS", 7)
+        for space, domain in cases:
+            _check_card_table(space, domain)
+    for u in gen_underlying_graphs(6):
+        space = OrientationSpace(u)
+        _check_card_table(space, range(space.domain_total))
+
+
 def test_orientation_rep_scan_on_a_large_group():
     # K7: 5,039 non-identity actions over 2^21 orientations
     space = OrientationSpace(underlying(from_arcs(7, list(combinations(range(7), 2)))))
@@ -519,6 +551,22 @@ def test_reduced_engine_misses_only_the_union_pairs_at_small_order():
     }
     assert missing == union_keys
     assert counts == {8: MAXDEG2[8]}
+
+
+def test_reduced_span_covers_the_orders_above_the_shape_ceiling(monkeypatch):
+    """With the shape ceiling lowered to 12, run_census reaches orders 13..16
+    through the padded-residue engine alone: no plain-deck families, and the
+    analytic class counts."""
+    def no_shapes(*args):
+        raise AssertionError("shape engine ran above the ceiling")
+
+    monkeypatch.setattr(census, "MAXDEG2_SHAPE_MAX_N", 12)
+    monkeypatch.setattr(census, "_census_one_shape", no_shapes)
+    report = run_census("maxdeg2", (13, 16))
+    assert report.families == []
+    assert report.counts == {13: 24302, 14: 53922, 15: 119330, 16: 263447}
+    with pytest.raises(OutOfRange):
+        run_census("maxdeg2", (13, 13), (0, 1))
 
 
 def test_range_validation():

@@ -215,14 +215,15 @@ def test_switch_span_membership_reduces_all_cuts():
                     ([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)], 5),
                     ([(i, i + 1) for i in range(6)], 7)]:
         space = OrientationSpace(underlying(from_arcs(n, arcs)))
-        basis = _switch_span_basis(space.switch_masks)
+        masks = space.flips.tolist()
+        basis = _switch_span_basis(masks)
         assert len(basis) == n - 1
         rows = sorted(basis.items(), reverse=True)
         for wmask in range(1 << n):
             vec = 0
             for v in range(n):
                 if wmask >> v & 1:
-                    vec ^= space.switch_masks[v]
+                    vec ^= masks[v]
             for pivot, row in rows:
                 if vec >> pivot & 1:
                     vec ^= row
