@@ -9,9 +9,14 @@ all go through one engine, _space_census.  It walks the space's orbit-minimum
 representatives in domain chunks and gives each one a 64-bit signature: the
 wrapping sum of a mixed class id per card, adjusted per t by the mixed id of
 the representative itself.  Equal t-decks always give equal signatures, so
-every family lies inside a set of colliding signatures; the colliding
-representatives are then regrouped by their exact sorted card lists and each
-family is re-verified as it is built, so the output is exact.
+every family lies inside a set of colliding signatures.
+
+Every engine regroups through one exact step, _exact_families: each member
+brings its sorted cards (card_table rows, the component classes of a
+max-degree-2 card, or the canonical codes of a tournament's switches) and
+its own class, the t-deck rule keys it, and make_family re-verifies each
+family, so the output is exact.  group_by_deck computes decks on its own
+and is the reference the tests hold the engines to.
 
 Grouping decomposes soundly: every card of a digraph keeps the labelled
 underlying graph, so graphs with equal decks share their underlying class
@@ -221,7 +226,9 @@ def _resolve_ts(t_range, n: int) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _adjusted_key(cards: list[int], own: int, t: int) -> tuple[int, ...] | None:
+def _adjusted_key(cards: list, own, t: int) -> tuple | None:
+    """The sorted cards of a t-deck: one copy of own removed at t = -1 (None
+    when the deck holds none), t copies added above 0."""
     if t == 0:
         return tuple(cards)
     key = list(cards)
@@ -236,20 +243,26 @@ def _adjusted_key(cards: list[int], own: int, t: int) -> tuple[int, ...] | None:
     return tuple(key)
 
 
+def _exact_families(label: str, t: int, members, digraph) -> list[Family]:
+    """Families of the members sharing a t-deck, in sorted t-deck order.
+
+    Each member comes as (sorted cards, own class, member); digraph turns a
+    member into the digraph its family holds.
+    """
+    buckets: dict[tuple, list] = {}
+    for cards, own, member in members:
+        key = _adjusted_key(cards, own, t)
+        if key is not None:
+            buckets.setdefault(key, []).append(member)
+    return [make_family(label, t, [digraph(m) for m in ms])
+            for _, ms in sorted(buckets.items()) if len(ms) >= 2]
+
+
 def _verify_candidates(space, cand: Sequence[int], t: int, label: str) -> list[Family]:
     """Regroup signature candidates by their exact sorted card lists."""
-    cards = spaces.card_table(space, _np.array(cand, dtype=_np.uint64)).T
-    cards.sort(axis=1)
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for x, row in zip(cand, cards.tolist()):
-        key = _adjusted_key(row, x, t)
-        if key is not None:
-            buckets.setdefault(key, []).append(x)
-    out = []
-    for _, xs in sorted(buckets.items()):
-        if len(xs) >= 2:
-            out.append(make_family(label, t, [space.digraph(x) for x in xs]))
-    return out
+    rows = spaces.card_table(space, _np.array(cand, dtype=_np.uint64)).T
+    rows.sort(axis=1)
+    return _exact_families(label, t, zip(rows.tolist(), cand, cand), space.digraph)
 
 
 def _mix64(a):
@@ -343,57 +356,31 @@ def _space_census(space, ts: Sequence[int], label: str) -> tuple[list[Family], i
 # ---------------------------------------------------------------------------
 # max-degree-2 engine
 
-def _shape_tasks(n: int, ts: Sequence[int]) -> list[Callable[[], tuple[list[Family], int]]]:
-    tasks = []
-    for shape in generate.maxdeg2_shapes(n):
-        tasks.append(lambda shape=shape: _census_one_shape(n, shape, ts))
-    return tasks
-
-
-def _census_one_shape(n: int, shape, ts: Sequence[int]) -> tuple[list[Family], int]:
+def _census_one_shape(shape, ts: Sequence[int]) -> tuple[list[Family], int]:
     """Group one component shape by t-deck using component class arithmetic.
 
     The multiset of component classes is a faithful class invariant of a
     disjoint union, and each card only replaces one component by its switched
-    class, so decks are computed without ever materializing labelled graphs.
+    class, so a card is the sorted component classes with that one swapped,
+    and decks are computed without ever materializing labelled graphs.
     """
     entries = []
     for comps in generate._shape_classes(shape):
         key = tuple(sorted(comps))
-        deck: dict[tuple, int] = {}
-        seen_mult: dict[generate.Comp, int] = {}
-        for c in comps:
-            seen_mult[c] = seen_mult.get(c, 0) + 1
-        base = list(key)
-        for c, mult in seen_mult.items():
-            kind, k, x = c
+        cards: list[tuple] = []
+        for i, (kind, k, x) in enumerate(key):
+            if i and key[i - 1] == key[i]:
+                # removing either of two equal slots leaves the same rest
+                cards.extend(cards[-k:])
+                continue
             sp = generate._part_space((kind, k))
-            removed = list(base)
-            removed.remove(c)
-            for v in range(k):
-                card_comp = (kind, k, sp.card(x, v))
-                card_key = tuple(sorted(removed + [card_comp]))
-                deck[card_key] = deck.get(card_key, 0) + mult
-        entries.append((key, deck))
-    families: list[Family] = []
-    for t in ts:
-        buckets: dict[tuple, list[tuple]] = {}
-        for key, deck in entries:
-            items = dict(deck)
-            if t == -1:
-                if not items.get(key):
-                    continue
-                items[key] -= 1
-                if items[key] == 0:
-                    del items[key]
-            elif t > 0:
-                items[key] = items.get(key, 0) + t
-            bucket_key = tuple(sorted(items.items()))
-            buckets.setdefault(bucket_key, []).append(key)
-        for _, keys in sorted(buckets.items()):
-            if len(keys) >= 2:
-                families.append(make_family("maxdeg2", t, [generate._union(k) for k in keys]))
-    return families, len(entries)
+            rest = key[:i] + key[i + 1:]
+            cards.extend(tuple(sorted(rest + ((kind, k, sp.card(x, v)),)))
+                         for v in range(k))
+        cards.sort()
+        entries.append((cards, key, key))
+    return [fam for t in ts
+            for fam in _exact_families("maxdeg2", t, entries, generate._union)], len(entries)
 
 
 def _stable_unit_graphs() -> tuple[Digraph, Digraph, Digraph]:
@@ -466,23 +453,19 @@ def _census_reduced_span(n_res: int, lo: int, hi: int) -> _TaskOut:
 # tournaments and the full oriented census
 
 def _census_tournaments(n: int, ts: Sequence[int]) -> tuple[list[Family], int]:
-    graphs = list(generate.gen_tournaments(n))
-    families = []
-    for t in ts:
-        for grp in group_by_deck(graphs, t):
-            families.append(make_family("tournaments", t, grp))
-    return families, len(graphs)
+    entries = []
+    for g in generate.gen_tournaments(n):
+        cards = sorted(canon.canonical_code(switch_vertex(g, v)) for v in range(n))
+        entries.append((cards, canon.canonical_code(g), g))
+    return [fam for t in ts
+            for fam in _exact_families("tournaments", t, entries, lambda g: g)], len(entries)
 
 
 def _all_oriented_tasks(n: int, ts: Sequence[int]) -> list[Callable[[], tuple[list[Family], int]]]:
     return [
-        lambda u=u: _census_one_underlying(u, n, ts)
+        lambda u=u: _space_census(OrientationSpace(u), ts, "all-oriented")
         for u in generate.gen_underlying_graphs(n)
     ]
-
-
-def _census_one_underlying(u, n: int, ts: Sequence[int]) -> tuple[list[Family], int]:
-    return _space_census(OrientationSpace(u), ts, "all-oriented")
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +489,9 @@ CENSUS_UNITS: dict[str, Callable[[int, list[int]], list[Callable]]] = {
     "paths": _space_tasks("paths"),
     "cycles": _space_tasks("cycles"),
     "digon-cycles": _space_tasks("digon-cycles"),
-    "maxdeg2": lambda n, ts: _shape_tasks(n, ts) if n <= MAXDEG2_SHAPE_MAX_N else [],
+    "maxdeg2": lambda n, ts: ([lambda s=s: _census_one_shape(s, ts)
+                               for s in generate.maxdeg2_shapes(n)]
+                              if n <= MAXDEG2_SHAPE_MAX_N else []),
     "tournaments": lambda n, ts: [lambda: _census_tournaments(n, ts)],
     "all-oriented": _all_oriented_tasks,
 }

@@ -30,6 +30,9 @@ EXIT_USAGE = 2
 EXIT_HEAVY = 3
 EXIT_CARD = 4
 EXIT_DICHOTOMY = 5
+# the exit code of each error main reports, most specific first
+_EXIT_CODES = ((HeavyFlagRequired, EXIT_HEAVY), (CardAbsent, EXIT_CARD),
+               (DichotomyViolated, EXIT_DICHOTOMY), ((ValueError, OSError), EXIT_USAGE))
 
 
 def _match(pattern: str, what: str, form: str, text: str) -> tuple:
@@ -247,18 +250,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except HeavyFlagRequired as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HEAVY
-    except CardAbsent as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CARD
-    except DichotomyViolated as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DICHOTOMY
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -49,6 +49,9 @@ class CycleOrientation:
 
     @classmethod
     def from_letters(cls, text: str) -> "CycleOrientation":
+        bad = [c for c in text.upper() if c not in "FBD"]
+        if bad:
+            raise HypothesisUnmet(f"cycle letter {bad[0]!r} is not one of F, B, D")
         return cls(len(text), tuple("FBD".index(c) for c in text.upper()))
 
     def to_digraph(self) -> Digraph:

@@ -87,6 +87,10 @@ class SearchReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SearchReport":
+        """The report of a JSON object, rejecting what no census run writes:
+        an inverted n range, a shard index outside 0..k-1, negative counts,
+        and counts or families outside the n range or the t range (t = 0
+        when the t range is null)."""
         report = cls(
             class_label=data["class"],
             n_range=tuple(data["n_range"]),
@@ -95,9 +99,22 @@ class SearchReport:
             elapsed_ms=data.get("elapsed_ms", 0),
             shard=tuple(data["shard"]) if data.get("shard") is not None else None,
         )
+        lo, hi = report.n_range
+        if lo > hi:
+            raise HypothesisUnmet(f"inverted n range {lo}..{hi}")
+        if report.shard is not None and not 0 <= report.shard[0] < report.shard[1]:
+            raise HypothesisUnmet(f"shard {report.shard} is not some (i, k) with 0 <= i < k")
+        for n, c in report.counts.items():
+            if not lo <= n <= hi or c < 0:
+                raise HypothesisUnmet(f"count {c} at order {n} in a report of {lo}..{hi}")
+        t_lo, t_hi = report.t_range or (0, 0)
         for fd in data.get("families", []):
             graphs = [parse_digraph6(s) for s in fd["members"]]
-            report.families.append(make_family(report.class_label, fd["t"], graphs))
+            fam = make_family(report.class_label, fd["t"], graphs)
+            if not (lo <= fam.n <= hi and t_lo <= fam.t <= (fam.n if t_hi is None else t_hi)):
+                raise HypothesisUnmet(f"family at n = {fam.n}, t = {fam.t} outside the "
+                                      f"report's n and t ranges")
+            report.families.append(fam)
         return report
 
     @classmethod

@@ -42,6 +42,7 @@ from switchdeck.generate import (
     gen_oriented_cycles,
     gen_oriented_maxdeg2,
     gen_oriented_paths,
+    gen_tournaments,
     gen_underlying_graphs,
 )
 from switchdeck.report import Family, SearchReport, make_family, merge_reports
@@ -283,8 +284,8 @@ def test_order8_all_oriented_unit_matches_exact_grouping(name, classes, families
     """One order-8 unit of the heavy all-oriented census, against
     group_by_deck over every orientation of its underlying graph."""
     u = underlying(from_arcs(8, ORDER8_UNITS[name]))
-    got, count = census._census_one_underlying(u, 8, [0])
     space = OrientationSpace(u)
+    got, count = census._space_census(space, [0], "all-oriented")
     graphs = [space.digraph(x) for x in range(space.domain_total)]
     want = sorted(sorted(canonical_code(g) for g in grp) for grp in group_by_deck(graphs, 0))
     assert count == len({canonical_code(g) for g in graphs}) == classes
@@ -298,6 +299,8 @@ def test_order8_all_oriented_unit_matches_exact_grouping(name, classes, families
     ("cycles", 3, 9, gen_oriented_cycles),
     ("digon-cycles", 3, 7, lambda n: gen_oriented_cycles(n, digons=True)),
     ("all-oriented", 1, 5, gen_all_oriented),
+    ("maxdeg2", 1, 9, gen_oriented_maxdeg2),
+    ("tournaments", 1, 6, gen_tournaments),
 ])
 def test_signature_engine_matches_exact_grouping(label, lo, hi, gen):
     report = run_census(label, (lo, hi), (-1, None))

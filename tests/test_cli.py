@@ -164,6 +164,12 @@ def test_cycles_subcommand(capsys):
     assert lines[1] == "r=2 size-check |W|=2 reconstructed=2 holds=True"
 
 
+def test_cycles_names_an_unknown_letter(capsys):
+    rc, out, err = run(capsys, "cycles", "FXB")
+    assert rc == cli.EXIT_USAGE and out == ""
+    assert "'X' is not one of F, B, D" in err
+
+
 def test_cycles_scans_all_rotations_by_default(capsys):
     rc, out, _ = run(capsys, "cycles", "FFFFF")
     lines = out.splitlines()
@@ -178,6 +184,22 @@ def test_merge_rejects_a_repeated_shard(capsys, tmp_path):
     path.write_text(out)
     rc, _, err = run(capsys, "merge", str(path), str(path))
     assert rc == cli.EXIT_USAGE and "error:" in err
+
+
+def test_merge_rejects_a_count_outside_the_order_range(capsys, tmp_path):
+    paths = []
+    for i in range(2):
+        rc, out, _ = run(capsys, "families", "cycles", "3..6", "--json", "--shard", f"{i}/2")
+        assert rc == cli.EXIT_OK
+        data = json.loads(out)
+        if i == 1:
+            data["counts"]["99"] = 7
+        path = tmp_path / f"shard{i}.json"
+        path.write_text(json.dumps(data))
+        paths.append(str(path))
+    rc, out, err = run(capsys, "merge", *paths)
+    assert rc == cli.EXIT_USAGE and out == ""
+    assert "count 7 at order 99" in err
 
 
 def test_verify_figures(capsys):

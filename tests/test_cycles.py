@@ -49,6 +49,11 @@ def test_letter_round_trip():
         CycleOrientation.from_letters("FB")
 
 
+def test_unknown_letter_is_named_with_the_alphabet():
+    with pytest.raises(HypothesisUnmet, match="'X' is not one of F, B, D"):
+        CycleOrientation.from_letters("FXB")
+
+
 def test_digraph_round_trip_recovers_class():
     co = CycleOrientation.from_letters("FFBDF")
     back, order = CycleOrientation.from_digraph(co.to_digraph())

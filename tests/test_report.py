@@ -163,6 +163,24 @@ def test_merge_rejects_anything_but_one_complete_shard_set(cycle_shards):
         merge_reports([a, run_census("cycles", (3, 7), (-1, None), shard=(1, 2))])
 
 
+@pytest.mark.parametrize("change", [
+    {"counts": {"3": 2, "4": 4, "5": 4, "6": 9, "99": 7}},  # order outside 3..6
+    {"counts": {"3": 2, "4": -4, "5": 4, "6": 9}},           # negative count
+    {"n_range": [6, 3]},                                     # inverted orders
+    {"shard": [5, 2]},                                       # index outside 0..1
+    {"shard": [0, 0]},                                       # no shards at all
+    {"t_range": [0, 0]},                                     # t = -1, 1, 2 families
+    {"t_range": None},                                       # null means t = 0
+    {"t_range": [-1, 1]},                                    # the t = 2 families
+    {"n_range": [3, 5], "counts": {"3": 2, "4": 4, "5": 4}},  # order-6 families
+])
+def test_report_json_outside_its_ranges_is_rejected(change):
+    good = run_census("cycles", (3, 6), (-1, None)).to_dict()
+    assert SearchReport.from_dict(good).counts == {3: 2, 4: 4, 5: 4, 6: 9}
+    with pytest.raises(HypothesisUnmet):
+        SearchReport.from_dict({**good, **change})
+
+
 def test_merge_rejects_unsharded_reports_with_overlapping_orders():
     a = run_census("paths", (3, 5))
     with pytest.raises(HypothesisUnmet):

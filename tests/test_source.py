@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import switchdeck
 
 SRC = Path(switchdeck.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
+BENCH = TESTS.parent / "perfbench"
 
 
 def test_library_has_no_assert_statements():
@@ -93,3 +95,37 @@ def test_every_error_class_is_raised_and_expected_by_a_test():
     }
     assert sorted(classes - raised) == []
     assert sorted(classes - expected) == []
+
+
+def _literal(path: Path, name: str):
+    """The literal value a module assigns to name, read without importing it."""
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == name
+                for target in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{path.name} assigns no {name}")
+
+
+def test_every_name_the_benchmark_reads_exists():
+    """The benchmark wraps the functions and methods in its tracer's TARGETS
+    and reads cache_info() of the canon functions in its metrics' CACHES, so
+    a library change that drops one of those names fails here too."""
+    targets = _literal(BENCH / "tracer.py", "TARGETS")
+    caches = _literal(BENCH / "metrics.py", "CACHES")
+    assert targets and caches
+    missing = []
+    for mod_name, path, _ in targets:
+        owner = importlib.import_module(f"switchdeck.{mod_name}")
+        if "." in path:
+            cls_name, attr = path.split(".")
+            cls = getattr(owner, cls_name, None)
+            found = cls is not None and attr in vars(cls)
+        else:
+            found = callable(getattr(owner, path, None))
+        if not found:
+            missing.append(f"{mod_name}.{path}")
+    canon = importlib.import_module("switchdeck.canon")
+    missing += [f"canon.{attr}" for attr in caches.values()
+                if not hasattr(getattr(canon, attr, None), "cache_info")]
+    assert missing == []

@@ -136,6 +136,16 @@ def test_stable_c4_realizes_full_index():
     assert gamma_group(STABLE_C4).order == 8
 
 
+def test_gamma_group_above_512_elements_checks_closure_on_a_probe():
+    """The out-star's leaves permute freely and every relabelling of them
+    is an automorphism, so gamma is the whole 720-element group, past the
+    size where closure is checked on a probe instead of every pair."""
+    star = from_arcs(7, [(0, i) for i in range(1, 7)])
+    grp = gamma_group(star)
+    assert grp.order == 720
+    assert grp.elements == aut_group_undirected(underlying(star)).elements
+
+
 @given(digraphs(min_n=2, max_n=5, oriented=True))
 def test_gamma_satisfies_index_identity_by_brute_force(g):
     assume(is_weakly_connected(g))
