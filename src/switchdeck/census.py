@@ -4,19 +4,25 @@ run_census enumerates every isomorphism class of a class label over a range
 of orders, groups the classes that share a t-deck, and returns the families
 in a SearchReport.
 
-Paths, cycles, digon cycles and the orientations of each underlying graph
-all go through one engine, _space_census.  It walks the space's orbit-minimum
-representatives in domain chunks and gives each one a 64-bit signature: the
-wrapping sum of a mixed class id per card, adjusted per t by the mixed id of
-the representative itself.  Equal t-decks always give equal signatures, so
-every family lies inside a set of colliding signatures.
+Two engines give every class a 64-bit signature of its t-deck: the wrapping
+sum of a mixed class id per card, adjusted per t by the mixed id of the class
+itself.  _space_census walks the orbit-minimum representatives of paths,
+cycles, digon cycles and the orientations of each underlying graph in domain
+chunks, with card ids from card_table.  _census_one_shape signs every class
+of one max-degree-2 component shape at once: a class is a multiset of
+component classes, its id the wrapping sum of their ids, and each card swaps
+one component for its switch, read from the part's card rows.  Equal t-decks
+always give equal signatures, so every family lies inside a set of colliding
+signatures, and _candidates picks exactly the classes whose signature
+another class shares.
 
-Every engine regroups through one exact step, _exact_families: each member
-brings its sorted cards (card_table rows, the component classes of a
-max-degree-2 card, or the canonical codes of a tournament's switches) and
-its own class, the t-deck rule keys it, and make_family re-verifies each
-family, so the output is exact.  group_by_deck computes decks on its own
-and is the reference the tests hold the engines to.
+Only those candidates reach the exact step, _exact_families: each brings its
+sorted cards (card_table rows, or the component classes of a max-degree-2
+card) and its own class, the t-deck rule keys it, and make_family re-verifies
+each family, so the output is exact.  Tournaments go to the exact step
+whole, with the canonical codes of their switches as cards.  group_by_deck
+computes decks on its own and is the reference the tests hold the engines
+to.
 
 Grouping decomposes soundly: every card of a digraph keeps the labelled
 underlying graph, so graphs with equal decks share their underlying class
@@ -27,7 +33,8 @@ underlying classes.
 from __future__ import annotations
 
 import time
-from itertools import chain
+from functools import lru_cache
+from itertools import chain, combinations_with_replacement, groupby
 from math import comb
 from typing import Callable, Iterable, Sequence
 
@@ -298,6 +305,29 @@ def _keyed(chunk, t: int):
     return xs, sig0 + _np.uint64(t) * own_mix
 
 
+def _candidates(chunks, t: int, count: int) -> list[int]:
+    """The members whose t-deck signature another member shares: every
+    family member, plus the rare 64-bit collisions.  chunks() gives the
+    signed chunks, at most count members in all, and is walked twice: once
+    for the sorted keys, once to pick the members with a repeated key."""
+    keys = _np.empty(count, dtype=_np.uint64)
+    pos = 0
+    for chunk in chunks():
+        key = _keyed(chunk, t)[1]
+        keys[pos:pos + len(key)] = key
+        pos += len(key)
+    keys = keys[:pos]
+    keys.sort()
+    dups = _np.unique(keys[1:][keys[1:] == keys[:-1]])
+    del keys
+    cand: list[int] = []
+    if len(dups):
+        for chunk in chunks():
+            pool, key = _keyed(chunk, t)
+            cand.extend(pool[_np.isin(key, dups)].tolist())
+    return cand
+
+
 def _rep_chunks(space, count: int):
     """space.rep_chunks at the engine's chunk size, checked against count()."""
     found = 0
@@ -333,40 +363,79 @@ def _space_census(space, ts: Sequence[int], label: str) -> tuple[list[Family], i
 
     families: list[Family] = []
     for t in ts:
-        keys = _np.empty(count, dtype=_np.uint64)
-        pos = 0
-        for chunk in chunks():
-            key = _keyed(chunk, t)[1]
-            keys[pos:pos + len(key)] = key
-            pos += len(key)
-        keys = keys[:pos]
-        keys.sort()
-        dups = _np.unique(keys[1:][keys[1:] == keys[:-1]])
-        del keys
-        if len(dups) == 0:
-            continue
-        cand: list[int] = []
-        for chunk in chunks():
-            pool, key = _keyed(chunk, t)
-            cand.extend(pool[_np.isin(key, dups)].tolist())
-        families.extend(_verify_candidates(space, cand, t, label))
+        cand = _candidates(chunks, t, count)
+        if cand:
+            families.extend(_verify_candidates(space, cand, t, label))
     return families, count
 
 
 # ---------------------------------------------------------------------------
 # max-degree-2 engine
 
-def _census_one_shape(shape, ts: Sequence[int]) -> tuple[list[Family], int]:
-    """Group one component shape by t-deck using component class arithmetic.
+def _part_hash(part, rows):
+    """The 64-bit component ids of some rows of one part's orbit minima; the
+    part's id in the high bits keeps the parts of a shape apart."""
+    kind, k = part
+    return _mix64(_np.uint64((2 * k + (kind == "c")) << 40) | rows)
+
+
+@lru_cache(maxsize=64)
+def _part_table(part):
+    """(card rows, u) of one part: the row of each card of each orbit
+    minimum, and each orbit minimum's component id."""
+    rows = spaces.card_rows(generate._part_space(part))
+    return rows, _part_hash(part, _np.arange(len(rows), dtype=_np.uint64))
+
+
+@lru_cache(maxsize=256)
+def _multisets(r: int, m: int):
+    """The m-multisets of range(r) as rows, in combinations_with_replacement
+    order."""
+    return _np.array(list(combinations_with_replacement(range(r), m)),
+                     dtype=_np.intp).reshape(-1, m)
+
+
+def _shape_signed(shape):
+    """(classes, signed chunk) of one shape.
+
+    classes holds one row per class in _shape_classes order, the row of each
+    slot's component among its part's orbit minima: each run of m equal
+    parts takes the m-multisets of its rows, the last run varying fastest.
+    A class hashes to H, the wrapping sum of its component ids u; the card
+    that switches slot s at v has H - u[s] + u[card], so sig0 sums the
+    mixed hashes of all of them and own_mix is the mixed H.  has_own marks
+    the classes with a card equal to their own slot's row.
+    """
+    runs = [(*_part_table(part), len(list(same))) for part, same in groupby(shape)]
+    classes = _np.zeros((1, 0), dtype=_np.intp)
+    for _, u, m in runs:
+        combos = _multisets(len(u), m)
+        classes = _np.hstack([_np.repeat(classes, len(combos), axis=0),
+                              _np.tile(combos, (len(classes), 1))])
+    owns = _np.split(classes, _np.cumsum([m for _, _, m in runs[:-1]]), axis=1)
+    h = _np.zeros(len(classes), dtype=_np.uint64)
+    for own, (_, u, _) in zip(owns, runs):
+        h += u[own].sum(axis=1)
+    sig0 = _np.zeros(len(classes), dtype=_np.uint64)
+    has_own = _np.zeros(len(classes), dtype=bool)
+    for own, (rows, u, _) in zip(owns, runs):
+        cards = rows[own]
+        sig0 += _mix64((h[:, None] - u[own])[:, :, None] + u[cards]).sum(axis=(1, 2))
+        has_own |= (cards == own[:, :, None]).any(axis=(1, 2))
+    return classes, (_np.arange(len(classes)), sig0, _mix64(h), has_own)
+
+
+def _shape_members(shape, classes):
+    """(sorted cards, sorted comps, sorted comps) of each class row.
 
     The multiset of component classes is a faithful class invariant of a
-    disjoint union, and each card only replaces one component by its switched
-    class, so a card is the sorted component classes with that one swapped,
-    and decks are computed without ever materializing labelled graphs.
+    disjoint union, and each card only replaces one component by its
+    switched class, so a card is the sorted component classes with that one
+    swapped, read through the part's card(x, v).
     """
-    entries = []
-    for comps in generate._shape_classes(shape):
-        key = tuple(sorted(comps))
+    slot_comps = [generate._part_comps(part) for part in shape]
+    for row in classes.tolist():
+        key = tuple(sorted(comps[j] for comps, j in zip(slot_comps, row)))
         cards: list[tuple] = []
         for i, (kind, k, x) in enumerate(key):
             if i and key[i - 1] == key[i]:
@@ -378,9 +447,24 @@ def _census_one_shape(shape, ts: Sequence[int]) -> tuple[list[Family], int]:
             cards.extend(tuple(sorted(rest + ((kind, k, sp.card(x, v)),)))
                          for v in range(k))
         cards.sort()
-        entries.append((cards, key, key))
-    return [fam for t in ts
-            for fam in _exact_families("maxdeg2", t, entries, generate._union)], len(entries)
+        yield cards, key, key
+
+
+def _census_one_shape(shape, ts: Sequence[int]) -> tuple[list[Family], int]:
+    """Group one component shape by t-deck on the signature engine.
+
+    Every class of the shape is signed at once from its parts' card rows
+    (_shape_signed); only the classes whose t-deck signature collides reach
+    the exact step, with their cards spelled out as component classes.
+    """
+    classes, chunk = _shape_signed(shape)
+    families: list[Family] = []
+    for t in ts:
+        cand = _candidates(lambda: [chunk], t, len(classes))
+        if cand:
+            families.extend(_exact_families("maxdeg2", t, _shape_members(shape, classes[cand]),
+                                            generate._union))
+    return families, len(classes)
 
 
 def _stable_unit_graphs() -> tuple[Digraph, Digraph, Digraph]:

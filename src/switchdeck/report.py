@@ -85,12 +85,31 @@ class SearchReport:
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
 
+    def check_ranges(self):
+        """Raise HypothesisUnmet on what no census run writes: an inverted n
+        or t range, a t range starting below -1, a shard index outside
+        0..k-1, negative counts, and counts or families outside the n range
+        or the t range (t = 0 when the t range is None)."""
+        lo, hi = self.n_range
+        if lo > hi:
+            raise HypothesisUnmet(f"inverted n range {lo}..{hi}")
+        t_lo, t_hi = self.t_range or (0, 0)
+        if t_lo < -1 or (t_hi is not None and t_lo > t_hi):
+            raise HypothesisUnmet(f"t range {self.t_range} is not some t..u with -1 <= t <= u")
+        if self.shard is not None and not 0 <= self.shard[0] < self.shard[1]:
+            raise HypothesisUnmet(f"shard {self.shard} is not some (i, k) with 0 <= i < k")
+        for n, c in self.counts.items():
+            if not lo <= n <= hi or c < 0:
+                raise HypothesisUnmet(f"count {c} at order {n} in a report of {lo}..{hi}")
+        for fam in self.families:
+            if not (lo <= fam.n <= hi and t_lo <= fam.t <= (fam.n if t_hi is None else t_hi)):
+                raise HypothesisUnmet(f"family at n = {fam.n}, t = {fam.t} outside the "
+                                      f"report's n and t ranges")
+
     @classmethod
     def from_dict(cls, data: dict) -> "SearchReport":
-        """The report of a JSON object, rejecting what no census run writes:
-        an inverted n range, a shard index outside 0..k-1, negative counts,
-        and counts or families outside the n range or the t range (t = 0
-        when the t range is null)."""
+        """The report of a JSON object, each family re-verified by
+        make_family and the whole checked by check_ranges."""
         report = cls(
             class_label=data["class"],
             n_range=tuple(data["n_range"]),
@@ -99,22 +118,10 @@ class SearchReport:
             elapsed_ms=data.get("elapsed_ms", 0),
             shard=tuple(data["shard"]) if data.get("shard") is not None else None,
         )
-        lo, hi = report.n_range
-        if lo > hi:
-            raise HypothesisUnmet(f"inverted n range {lo}..{hi}")
-        if report.shard is not None and not 0 <= report.shard[0] < report.shard[1]:
-            raise HypothesisUnmet(f"shard {report.shard} is not some (i, k) with 0 <= i < k")
-        for n, c in report.counts.items():
-            if not lo <= n <= hi or c < 0:
-                raise HypothesisUnmet(f"count {c} at order {n} in a report of {lo}..{hi}")
-        t_lo, t_hi = report.t_range or (0, 0)
         for fd in data.get("families", []):
             graphs = [parse_digraph6(s) for s in fd["members"]]
-            fam = make_family(report.class_label, fd["t"], graphs)
-            if not (lo <= fam.n <= hi and t_lo <= fam.t <= (fam.n if t_hi is None else t_hi)):
-                raise HypothesisUnmet(f"family at n = {fam.n}, t = {fam.t} outside the "
-                                      f"report's n and t ranges")
-            report.families.append(fam)
+            report.families.append(make_family(report.class_label, fd["t"], graphs))
+        report.check_ranges()
         return report
 
     @classmethod
@@ -144,11 +151,14 @@ def merge_reports(reports: Iterable[SearchReport]) -> SearchReport:
     two inputs is kept once.  Shard reports must form one complete set: the
     same k, every index 0..k-1 exactly once, and no unsharded report beside
     them.  Unsharded reports must cover disjoint n ranges, or their counts
-    would add twice.  All inputs must share the class and the t range.
+    would add twice.  All inputs must share the class and the t range, and
+    each must pass check_ranges.
     """
     reports = list(reports)
     if not reports:
         raise HypothesisUnmet("nothing to merge")
+    for r in reports:
+        r.check_ranges()
     label = reports[0].class_label
     t_range = reports[0].t_range
     for r in reports:

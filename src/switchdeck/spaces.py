@@ -30,9 +30,11 @@ class arithmetic all runs on uint64 arrays:
 - count(): the class count, without a scan; digraph(x): one string's digraph.
 
 card_table is the one card kernel over that protocol: the class ids of all n
-cards of each string, from one image per action.  PathSpace and CycleSpace
-also read single cards, card(x, v), from a table that tabulated_reps builds
-once per space with it.
+cards of each string, from one image per action.  For the small spaces that
+make up max-degree-2 graphs, tabulated_reps runs it once over all orbit
+minima: card_rows gives each card as its index among them, which the
+census signs, and card(x, v) reads one card, which now serves only the
+exact step on the census's signature candidates.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import Iterable, Iterator
 import numpy as _np
 
 from .digraph import Digraph
-from .errors import OutOfRange
+from .errors import LengthMismatch, OutOfRange
 
 _CHUNK = 1 << 22
 # strings per slice of card_table: its n-row temporaries stay small
@@ -107,16 +109,29 @@ def card_table(space, xs):
 
 def tabulated_reps(space) -> list[int]:
     """The space's orbit minima, ascending; the first call also tabulates
-    the cards of all of them for card(x, v).  Both stay on the space object,
-    so this suits small spaces such as the parts of max-degree-2 graphs."""
+    the cards of all of them, for card_rows and card(x, v).  Both stay on
+    the space object, so this suits small spaces such as the parts of
+    max-degree-2 graphs."""
     reps = space.__dict__.get("_reps")
     if reps is None:
         xs = space.reps_array()
+        cards = card_table(space, xs).T
+        rows = _np.searchsorted(xs, cards)
+        if not (xs[_np.minimum(rows, len(xs) - 1)] == cards).all():
+            raise LengthMismatch(f"{type(space).__name__} has a card outside its orbit minima")
         reps = xs.tolist()
-        space._cards = array("Q", card_table(space, xs).T.tobytes())
+        space._card_rows = rows
+        space._cards = array("Q", cards.tobytes())
         space._offset = {x: i * space.n for i, x in enumerate(reps)}
         space._reps = reps
     return reps
+
+
+def card_rows(space):
+    """(reps, n) table: the index in tabulated_reps of each card of each
+    orbit minimum."""
+    tabulated_reps(space)
+    return space._card_rows
 
 
 def card_of(space, x: int, v: int) -> int:

@@ -468,6 +468,16 @@ def test_part_cards_are_the_least_string_of_the_switched_class():
                 assert space.card(x, v) == least[canonical_code(switched)]
 
 
+def test_a_part_card_outside_its_orbit_minima_is_rejected(monkeypatch):
+    reps = PathSpace(5).reps_array().tolist()
+    between = next(x for x in range(max(reps)) if x not in reps)
+    for bad in (between, 1 << 40):
+        monkeypatch.setattr(spaces, "card_table",
+                            lambda space, xs: np.full((space.n, len(xs)), bad, dtype=np.uint64))
+        with pytest.raises(LengthMismatch):
+            spaces.tabulated_reps(PathSpace(5))
+
+
 def _check_card_table(space, domain):
     xs = np.array(list(domain), dtype=np.uint64)
     table = spaces.card_table(space, xs)
@@ -530,6 +540,35 @@ def test_orientation_count_matches_the_rep_scan():
         for u in gen_underlying_graphs(n):
             space = OrientationSpace(u)
             assert space.count() == len(space.reps_array())
+
+
+def test_forced_signature_collisions_still_give_the_exact_report(monkeypatch):
+    """A part hash that sees only the parity of a component's row makes most
+    classes of a shape collide; the exact step must sort them all out."""
+    def report_of(run):
+        out = run.to_dict()
+        del out["elapsed_ms"]
+        return out
+
+    want = report_of(run_census("maxdeg2", (1, 10), (-1, None)))
+    exact = census._exact_families
+    sizes = []
+
+    def counted(label, t, members, digraph):
+        members = list(members)
+        sizes.append(len(members))
+        return exact(label, t, members, digraph)
+
+    monkeypatch.setattr(census, "_part_hash", lambda part, rows: rows % np.uint64(2))
+    monkeypatch.setattr(census, "_exact_families", counted)
+    census._part_table.cache_clear()
+    try:
+        got = run_census("maxdeg2", (1, 10), (-1, None))
+    finally:
+        census._part_table.cache_clear()
+    assert report_of(got) == want
+    members = sum(f.size for f in got.families)
+    assert members > 0 and sum(sizes) > 20 * members
 
 
 def test_reduced_engine_misses_only_the_union_pairs_at_small_order():

@@ -113,17 +113,53 @@ def test_merge_reports_unions_families_and_adds_counts():
     b = SearchReport("paths", (5, 6), (0, 0))
     fam = make_family("paths", 0, [P4A, P4B])
     a.families = [fam]
-    b.families = [fam]
     a.counts = {4: 4}
-    b.counts = {4: 6, 5: 10}
+    b.counts = {5: 10, 6: 20}
     merged = merge_reports([a, b])
     assert merged.n_range == (1, 6)
-    assert merged.families == [fam]  # duplicates collapse
-    assert merged.counts == {4: 10, 5: 10}
+    assert merged.families == [fam]
+    assert merged.counts == {4: 4, 5: 10, 6: 20}
     assert merged.families_at(4) == [fam]
     assert merged.families_at(5) == []
+    s0 = SearchReport("paths", (1, 4), (0, 0), shard=(0, 2))
+    s1 = SearchReport("paths", (1, 4), (0, 0), shard=(1, 2))
+    s0.families = [fam]
+    s1.families = [fam]
+    s0.counts = {4: 4}
+    s1.counts = {3: 3, 4: 6}
+    merged = merge_reports([s0, s1])
+    assert merged.families == [fam]  # duplicates collapse
+    assert merged.counts == {3: 3, 4: 10}
     with pytest.raises(HypothesisUnmet):
         merge_reports([])
+
+
+def _in_memory_report(**change) -> SearchReport:
+    rep = SearchReport("paths", (3, 5), (0, 1))
+    rep.families = [make_family("paths", 0, [P4A, P4B])]
+    rep.counts = {3: 2, 4: 4, 5: 6}
+    for name, value in change.items():
+        setattr(rep, name, value)
+    return rep
+
+
+@pytest.mark.parametrize("change", [
+    {"counts": {3: 2, 4: 4, 5: 6, 9: 7}},                         # order outside 3..5
+    {"counts": {3: 2, 4: -4, 5: 6}},                              # negative count
+    {"families": [Family("paths", 6, 0, (b"a", b"b"))]},          # family above the orders
+    {"families": [Family("paths", 4, 2, (b"a", b"b"))]},          # family above the t range
+    {"n_range": (5, 3)},                                          # inverted orders
+    {"t_range": (1, 0), "families": []},                          # inverted t range
+    {"t_range": (-2, None)},                                      # t below -1
+])
+def test_merge_checks_every_in_memory_report_against_its_ranges(change):
+    good = _in_memory_report()
+    assert merge_reports([good]).counts == good.counts
+    bad = _in_memory_report(**change)
+    with pytest.raises(HypothesisUnmet):
+        merge_reports([bad])
+    with pytest.raises(HypothesisUnmet):
+        merge_reports([SearchReport("paths", (1, 2), (0, 1)), bad])
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +209,8 @@ def test_merge_rejects_anything_but_one_complete_shard_set(cycle_shards):
     {"t_range": None},                                       # null means t = 0
     {"t_range": [-1, 1]},                                    # the t = 2 families
     {"n_range": [3, 5], "counts": {"3": 2, "4": 4, "5": 4}},  # order-6 families
+    {"t_range": [7, 1], "families": []},                     # inverted t range
+    {"t_range": [-4, None]},                                 # t below -1
 ])
 def test_report_json_outside_its_ranges_is_rejected(change):
     good = run_census("cycles", (3, 6), (-1, None)).to_dict()
