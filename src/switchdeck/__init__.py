@@ -61,11 +61,8 @@ from .errors import (
     DichotomyViolated,
     HeavyFlagRequired,
     HypothesisUnmet,
-    IsomorphicInputs,
-    NotConnected,
     OutOfRange,
     SwitchDeckError,
-    WUndefined,
 )
 from .generate import (
     CLASS_BOUNDS,
@@ -96,10 +93,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AutGroup", "CLASS_BOUNDS", "CardAbsent", "ComponentDecomposition",
     "CycleOrientation", "CycleSpace", "Deck", "DichotomyViolated", "Digraph",
-    "EMPTY", "Family", "HeavyFlagRequired", "HypothesisUnmet",
-    "IsomorphicInputs", "MAX_N", "NotConnected", "OrientationSpace",
-    "OutOfRange", "PathSpace", "Permutation", "Rotation", "SearchReport",
-    "SwitchDeckError", "UnderlyingGraph", "VertexSet", "WUndefined",
+    "EMPTY", "Family", "HeavyFlagRequired", "HypothesisUnmet", "MAX_N",
+    "OrientationSpace", "OutOfRange", "PathSpace", "Permutation", "Rotation",
+    "SearchReport", "SwitchDeckError", "UnderlyingGraph", "VertexSet",
     "apply_perm", "aut_group_undirected", "canonical_code", "canonical_form",
     "canonical_perm", "catalog", "check_stable_set_bound",
     "classify_stable_connected", "code_to_digraph", "components", "deck",

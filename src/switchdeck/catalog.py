@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import canon
 from .digraph import Digraph, from_arcs
-from .errors import HypothesisUnmet, IsomorphicInputs
+from .errors import HypothesisUnmet
 from .report import Family, make_family
 from .stability import is_switching_stable
 
@@ -155,7 +155,7 @@ def _check_group(name: str, keys: tuple[str, ...]) -> tuple[bool, str]:
     for key in keys:
         try:
             sizes.append(len(_BY_KEY[key].as_family().members))
-        except (IsomorphicInputs, HypothesisUnmet) as exc:
+        except HypothesisUnmet as exc:
             return False, f"{key}: {exc}"
     t = _BY_KEY[keys[0]].t
     return True, f"t={t} sizes={sizes}"

@@ -40,28 +40,16 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as _np
 
-from . import canon, decks, generate, spaces
+from . import canon, catalog, decks, generate, spaces
 from .canon import OrientationSpace
 from .digraph import (
     EMPTY,
     Digraph,
     components,
     disjoint_union,
-    from_arcs,
     is_weakly_connected,
 )
-from .errors import (
-    CardAbsent,
-    DichotomyViolated,
-    HypothesisUnmet,
-    IsomorphicInputs,
-    LengthMismatch,
-    NotConnected,
-    NotDisconnected,
-    OrderMismatch,
-    OutOfRange,
-    UniverseNotClosed,
-)
+from .errors import CardAbsent, DichotomyViolated, HypothesisUnmet, OutOfRange
 from .generate import MAXDEG2_SHAPE_MAX_N, check_orders
 from .report import Family, SearchReport, make_family
 from .spaces import _CHUNK
@@ -101,7 +89,7 @@ def group_by_deck(graphs: Iterable[Digraph], t: int = 0) -> list[list[Digraph]]:
 def switching_adjacent(a: Digraph, b: Digraph) -> bool:
     """True when some single-vertex switch of a is isomorphic to b."""
     if not (is_weakly_connected(a) and is_weakly_connected(b)):
-        raise NotConnected("switching adjacency is defined between connected digraphs")
+        raise HypothesisUnmet("switching adjacency is defined between connected digraphs")
     if a.n != b.n:
         return False
     target = canon.canonical_code(b)
@@ -116,7 +104,7 @@ def possible_components(g: Digraph, universe: Iterable[Digraph],
     mean anything, which the caller asserts via universe_closed.
     """
     if not universe_closed:
-        raise UniverseNotClosed(
+        raise HypothesisUnmet(
             "pass universe_closed=True only when the universe holds every "
             "graph sharing the deck"
         )
@@ -132,7 +120,7 @@ def definite_components(g: Digraph, universe: Iterable[Digraph],
                         universe_closed: bool = False) -> list[bytes]:
     """Component classes present in every universe member sharing g's deck."""
     if not universe_closed:
-        raise UniverseNotClosed(
+        raise HypothesisUnmet(
             "pass universe_closed=True only when the universe holds every "
             "graph sharing the deck"
         )
@@ -186,11 +174,11 @@ def verify_disconnected_dichotomy(g: Digraph, h: Digraph,
     switching-stable set of at most 4 classes of one common order.
     """
     if g.n != h.n:
-        raise OrderMismatch("inputs must share an order")
+        raise HypothesisUnmet("inputs must share an order")
     if is_weakly_connected(g) or is_weakly_connected(h):
-        raise NotDisconnected("both inputs must be disconnected")
+        raise HypothesisUnmet("both inputs must be disconnected")
     if canon.is_isomorphic(g, h):
-        raise IsomorphicInputs("inputs must not be isomorphic")
+        raise HypothesisUnmet("inputs must not be isomorphic")
     if decks.deck(g) != decks.deck(h):
         raise HypothesisUnmet("inputs must share a deck")
     gp = components(g).parts
@@ -337,7 +325,7 @@ def _rep_chunks(space, count: int):
             break
         yield xs
     if found != count:
-        raise LengthMismatch(
+        raise HypothesisUnmet(
             f"{type(space).__name__} rep scan disagrees with count() = {count}"
         )
 
@@ -467,13 +455,6 @@ def _census_one_shape(shape, ts: Sequence[int]) -> tuple[list[Family], int]:
     return families, len(classes)
 
 
-def _stable_unit_graphs() -> tuple[Digraph, Digraph, Digraph]:
-    k1 = Digraph(1, (0,))
-    arc = from_arcs(2, [(0, 1)])
-    stable_c4 = from_arcs(4, [(0, 1), (1, 3), (3, 2), (0, 2)])
-    return k1, arc, stable_c4
-
-
 def _stable_paddings(t: int) -> list[tuple[int, int, int]]:
     """Multisets of stable connected classes on t vertices as (k1, arc, c4)."""
     out = []
@@ -519,7 +500,7 @@ def _census_reduced_span(n_res: int, lo: int, hi: int) -> _TaskOut:
     """
     ts = [n - n_res for n in range(max(lo, n_res), hi + 1)]
     families: list[Family] = []
-    k1, arc, c4 = _stable_unit_graphs()
+    k1, arc, c4 = catalog.STABLE_CONNECTED
     if ts:
         for space in (spaces.PathSpace(n_res), spaces.CycleSpace(n_res)):
             for fam in _space_census(space, ts, "residue")[0]:

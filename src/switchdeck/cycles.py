@@ -18,7 +18,7 @@ import numpy as _np
 
 from . import spaces
 from .digraph import Digraph, Permutation, VertexSet, underlying
-from .errors import HypothesisUnmet, LengthMismatch, NotConnected, OutOfRange, WUndefined
+from .errors import HypothesisUnmet, OutOfRange
 from .stability import switch_solutions
 from .switching import switch_vertex
 
@@ -36,7 +36,7 @@ class CycleOrientation:
         if self.n < 3:
             raise OutOfRange(f"cycles need at least 3 vertices, got {self.n}")
         if len(self.dirs) != self.n:
-            raise LengthMismatch(f"{len(self.dirs)} letters for a {self.n}-cycle")
+            raise HypothesisUnmet(f"{len(self.dirs)} letters for a {self.n}-cycle")
         if not all(d in (FORWARD, BACKWARD, DIGON) for d in self.dirs):
             raise HypothesisUnmet(f"letters must be {FORWARD}, {BACKWARD} or {DIGON}")
 
@@ -68,7 +68,7 @@ class CycleOrientation:
         n = g.n
         u = underlying(g)
         if n < 3 or any(u.degree(v) != 2 for v in range(n)):
-            raise NotConnected("underlying graph is not a single cycle")
+            raise HypothesisUnmet("underlying graph is not a single cycle")
         order = [0]
         prev = -1
         cur = 0
@@ -78,7 +78,7 @@ class CycleOrientation:
             order.append(nxt)
             prev, cur = cur, nxt
         if sorted(order) != list(range(n)):
-            raise NotConnected("underlying graph is not a single cycle")
+            raise HypothesisUnmet("underlying graph is not a single cycle")
         dirs = []
         for i in range(n):
             a, b = order[i], order[(i + 1) % n]
@@ -129,7 +129,7 @@ def find_W(co: CycleOrientation, rot: Rotation) -> VertexSet | None:
 
     None covers both failure modes: no solution at all, or no unique
     small-side solution (every solution has size exactly n/2, or several
-    digon-freed solutions tie below n/2).  Raises LengthMismatch when the
+    digon-freed solutions tie below n/2).  Raises HypothesisUnmet when the
     rotation acts on a different number of vertices than co has.
     """
     return _small_w(co.to_digraph(), rot.as_permutation())
@@ -138,7 +138,7 @@ def find_W(co: CycleOrientation, rot: Rotation) -> VertexSet | None:
 def w_set(co: CycleOrientation, rot: Rotation) -> VertexSet:
     w = find_W(co, rot)
     if w is None:
-        raise WUndefined(f"no unique small switching set for rotation by {rot.r}")
+        raise HypothesisUnmet(f"no unique small switching set for rotation by {rot.r}")
     return w
 
 
@@ -175,7 +175,7 @@ def verify_w_size_reconstruction(co: CycleOrientation, rot: Rotation) -> dict:
     for v in range(n):
         wv = _small_w(switch_vertex(g, v), gamma)
         if wv is None:
-            raise WUndefined(f"card {v} has no unique small switching set")
+            raise HypothesisUnmet(f"card {v} has no unique small switching set")
         card_sizes.append(len(wv))
     recon = max(card_sizes) - 2
     return {

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .canon import CanonicalCode, canonical_code, code_to_digraph
 from .digraph import Digraph, format_digraph6
-from .errors import CardAbsent, HypothesisUnmet, IsomorphicInputs, OrderMismatch, OutOfRange
+from .errors import CardAbsent, HypothesisUnmet, OutOfRange
 from .switching import switch_vertex
 
 
@@ -68,9 +68,9 @@ def matching_t(g: Digraph, h: Digraph) -> int | None:
     scanned and a second match would be an internal contradiction.
     """
     if g.n != h.n:
-        raise OrderMismatch(f"orders differ: {g.n} vs {h.n}")
+        raise HypothesisUnmet(f"orders differ: {g.n} vs {h.n}")
     if canonical_code(g) == canonical_code(h):
-        raise IsomorphicInputs("matching t is only defined for non-isomorphic inputs")
+        raise HypothesisUnmet("matching t is only defined for non-isomorphic inputs")
     matches = []
     for t in range(-1, g.n + 1):
         try:

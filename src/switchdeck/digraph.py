@@ -11,15 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import (
-    DigonViolation,
-    LengthMismatch,
-    LoopArc,
-    MalformedHeader,
-    OutOfRange,
-    TruncatedBits,
-    VertexOutOfRange,
-)
+from .errors import HypothesisUnmet, OutOfRange
 
 MAX_N = 32
 
@@ -108,7 +100,7 @@ class VertexSet:
         bits = 0
         for v in members:
             if not 0 <= v < n:
-                raise VertexOutOfRange(f"vertex {v} not in 0..{n - 1}")
+                raise OutOfRange(f"vertex {v} not in 0..{n - 1}")
             bits |= 1 << v
         return cls(n, bits)
 
@@ -143,21 +135,22 @@ EMPTY = Digraph(0, ())
 def from_arcs(n: int, arcs: Iterable[tuple[int, int]], oriented: bool = True) -> Digraph:
     """Build a digraph from explicit arcs.
 
-    With oriented=True a digon among the arcs raises DigonViolation.
-    Duplicate arcs collapse; loops raise LoopArc.
+    Duplicate arcs collapse.  A loop, or with oriented=True a digon among
+    the arcs, raises HypothesisUnmet; a vertex outside 0..n-1 raises
+    OutOfRange.
     """
     if not 1 <= n <= MAX_N:
         raise OutOfRange(f"order {n} outside 1..{MAX_N}")
     out = [0] * n
     for v, w in arcs:
         if not (0 <= v < n and 0 <= w < n):
-            raise VertexOutOfRange(f"arc ({v},{w}) outside 0..{n - 1}")
+            raise OutOfRange(f"arc ({v},{w}) outside 0..{n - 1}")
         if v == w:
-            raise LoopArc(f"loop at {v}")
+            raise HypothesisUnmet(f"loop at {v}")
         out[v] |= 1 << w
     g = Digraph(n, tuple(out))
     if oriented and not g.is_oriented():
-        raise DigonViolation("digon present in oriented input")
+        raise HypothesisUnmet("digon present in oriented input")
     return g
 
 
@@ -181,7 +174,7 @@ def underlying(g: Digraph) -> UnderlyingGraph:
 def apply_perm(g: Digraph, p: Permutation) -> Digraph:
     """Relabel: arc v->w becomes p(v)->p(w)."""
     if len(p) != g.n:
-        raise LengthMismatch(f"permutation length {len(p)} != order {g.n}")
+        raise HypothesisUnmet(f"permutation length {len(p)} != order {g.n}")
     img = p.image
     out = [0] * g.n
     for v in range(g.n):
@@ -289,32 +282,32 @@ def parse_digraph6(text: str) -> Digraph:
     if s.startswith(">>digraph6<<"):
         s = s[len(">>digraph6<<"):]
     if not s or s[0] != "&" or len(s) < 2:
-        raise MalformedHeader(f"not a digraph6 string: {text!r}")
+        raise HypothesisUnmet(f"not a digraph6 string: {text!r}")
     nchar = ord(s[1])
     if not 63 <= nchar <= 126:
-        raise MalformedHeader(f"bad order byte {s[1]!r}")
+        raise HypothesisUnmet(f"bad order byte {s[1]!r}")
     n = nchar - 63
     if not 1 <= n <= MAX_N:
         raise OutOfRange(f"order {n} outside 1..{MAX_N}")
     body = s[2:]
     need = (n * n + 5) // 6
     if len(body) != need:
-        raise TruncatedBits(f"expected {need} payload chars, got {len(body)}")
+        raise HypothesisUnmet(f"expected {need} payload chars, got {len(body)}")
     bits = 0
     for ch in body:
         c = ord(ch)
         if not 63 <= c <= 126:
-            raise MalformedHeader(f"bad payload byte {ch!r}")
+            raise HypothesisUnmet(f"bad payload byte {ch!r}")
         bits = bits << 6 | (c - 63)
     pad = need * 6 - n * n
     if bits & ((1 << pad) - 1):
-        raise TruncatedBits("nonzero padding bits")
+        raise HypothesisUnmet("nonzero padding bits")
     bits >>= pad
     out = [0] * n
     for v in range(n):
         for w in range(n):
             if bits >> (n * n - 1 - (v * n + w)) & 1:
                 if v == w:
-                    raise LoopArc(f"loop bit at {v}")
+                    raise HypothesisUnmet(f"loop bit at {v}")
                 out[v] |= 1 << w
     return Digraph(n, tuple(out))

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import canon, spaces
 from .digraph import Digraph, UnderlyingGraph, disjoint_union
-from .errors import HeavyFlagRequired, LengthMismatch, OutOfRange
+from .errors import HeavyFlagRequired, HypothesisUnmet, OutOfRange
 
 # label -> (n_min, n_max, heavy_over): the orders each class supports, in the
 # census, gen and stable commands alike; orders above heavy_over need heavy
@@ -108,7 +108,7 @@ def maxdeg2_shapes(n: int) -> list[tuple[Part, ...]]:
 def shape_underlying(n: int, shape: tuple[Part, ...]) -> UnderlyingGraph:
     """The labelled underlying graph of a shape, components on consecutive blocks."""
     if sum(k for _, k in shape) != n:
-        raise LengthMismatch(f"shape {shape} does not cover {n} vertices")
+        raise HypothesisUnmet(f"shape {shape} does not cover {n} vertices")
     adj = [0] * n
     base = 0
     for kind, k in shape:

@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 
 from . import canon, decks
 from .digraph import Digraph, format_digraph6, parse_digraph6
-from .errors import HypothesisUnmet, IsomorphicInputs
+from .errors import HypothesisUnmet
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,11 +45,54 @@ class Family:
 def make_family(class_label: str, t: int, graphs: Sequence[Digraph]) -> Family:
     codes = sorted({canon.canonical_code(g) for g in graphs})
     if len(codes) != len(graphs):
-        raise IsomorphicInputs("family members must be pairwise non-isomorphic")
+        raise HypothesisUnmet("family members must be pairwise non-isomorphic")
     ds = [decks.t_deck(g, t) for g in graphs]
     if any(d != ds[0] for d in ds[1:]):
         raise HypothesisUnmet(f"family members must share the {t}-deck")
     return Family(class_label, graphs[0].n, t, tuple(codes))
+
+
+_REQUIRED = object()
+
+
+def _field(data: dict, key: str, read, want: str, default=_REQUIRED, where: str = "report"):
+    """read(data[key]), or default when the key is absent and not required;
+    a missing required key, or a value read rejects, raises HypothesisUnmet."""
+    if key not in data:
+        if default is _REQUIRED:
+            raise HypothesisUnmet(f"{where} has no {key!r} field")
+        return default
+    try:
+        return read(data[key])
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise HypothesisUnmet(f"{where} field {key!r} must be {want}") from exc
+
+
+def _typed(kind: type):
+    def read(value):
+        if type(value) is not kind:
+            raise TypeError(f"{value!r} is not of type {kind.__name__}")
+        return value
+    return read
+
+
+def _optional(read):
+    return lambda value: None if value is None else read(value)
+
+
+def _list_of(read):
+    return lambda value: [read(item) for item in _typed(list)(value)]
+
+
+def _pair(read_hi=_typed(int)):
+    def read(value):
+        lo, hi = _typed(list)(value)
+        return _typed(int)(lo), read_hi(hi)
+    return read
+
+
+def _counts(value) -> dict[int, int]:
+    return {int(k): _typed(int)(c) for k, c in _typed(dict)(value).items()}
 
 
 @dataclass(slots=True)
@@ -107,20 +150,29 @@ class SearchReport:
                                       f"report's n and t ranges")
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SearchReport":
+    def from_dict(cls, data: object) -> "SearchReport":
         """The report of a JSON object, each family re-verified by
-        make_family and the whole checked by check_ranges."""
+        make_family and the whole checked by check_ranges.  A missing or
+        malformed field raises HypothesisUnmet naming it."""
+        if type(data) is not dict:
+            raise HypothesisUnmet("a report must be a JSON object")
         report = cls(
-            class_label=data["class"],
-            n_range=tuple(data["n_range"]),
-            t_range=tuple(data["t_range"]) if data.get("t_range") is not None else None,
-            counts={int(k): v for k, v in data.get("counts", {}).items()},
-            elapsed_ms=data.get("elapsed_ms", 0),
-            shard=tuple(data["shard"]) if data.get("shard") is not None else None,
+            class_label=_field(data, "class", _typed(str), "a string"),
+            n_range=_field(data, "n_range", _pair(), "a list of two integers"),
+            t_range=_field(data, "t_range", _optional(_pair(_optional(_typed(int)))),
+                           "null or a list of an integer and an integer or null", None),
+            counts=_field(data, "counts", _counts, "an object of integer counts by order", {}),
+            elapsed_ms=_field(data, "elapsed_ms", _typed(int), "an integer", 0),
+            shard=_field(data, "shard", _optional(_pair()),
+                         "null or a list of two integers", None),
         )
-        for fd in data.get("families", []):
-            graphs = [parse_digraph6(s) for s in fd["members"]]
-            report.families.append(make_family(report.class_label, fd["t"], graphs))
+        fds = _field(data, "families", _list_of(_typed(dict)), "a list of objects", [])
+        for i, fd in enumerate(fds):
+            t = _field(fd, "t", _typed(int), "an integer", where=f"family {i}")
+            members = _field(fd, "members", _list_of(_typed(str)),
+                             "a list of digraph6 strings", where=f"family {i}")
+            graphs = [parse_digraph6(m) for m in members]
+            report.families.append(make_family(report.class_label, t, graphs))
         report.check_ranges()
         return report
 

@@ -47,7 +47,7 @@ from typing import Iterable, Iterator
 import numpy as _np
 
 from .digraph import Digraph
-from .errors import LengthMismatch, OutOfRange
+from .errors import HypothesisUnmet, OutOfRange
 
 _CHUNK = 1 << 22
 # strings per slice of card_table: its n-row temporaries stay small
@@ -118,7 +118,7 @@ def tabulated_reps(space) -> list[int]:
         cards = card_table(space, xs).T
         rows = _np.searchsorted(xs, cards)
         if not (xs[_np.minimum(rows, len(xs) - 1)] == cards).all():
-            raise LengthMismatch(f"{type(space).__name__} has a card outside its orbit minima")
+            raise HypothesisUnmet(f"{type(space).__name__} has a card outside its orbit minima")
         reps = xs.tolist()
         space._card_rows = rows
         space._cards = array("Q", cards.tobytes())

@@ -22,16 +22,7 @@ from .digraph import (
     is_weakly_connected,
     underlying,
 )
-from .errors import (
-    EmptySet,
-    HypothesisUnmet,
-    LengthMismatch,
-    MixedUnderlying,
-    NotConnected,
-    NotUnderlyingAut,
-    OrderMismatch,
-    OutOfRange,
-)
+from .errors import HypothesisUnmet, OutOfRange
 from .spaces import card_table
 from .switching import switch_set, switch_vertex
 
@@ -93,10 +84,10 @@ def is_switching_stable_set(graphs: Iterable[Digraph]) -> bool:
     """True when every vertex switch of every member lands in the set."""
     members = list(graphs)
     if not members:
-        raise EmptySet("a stable set needs at least one member")
+        raise HypothesisUnmet("a stable set needs at least one member")
     n = members[0].n
     if any(g.n != n for g in members):
-        raise OrderMismatch("stable-set members must share an order")
+        raise HypothesisUnmet("stable-set members must share an order")
     codes = {canon.canonical_code(g) for g in members}
     return all(
         canon.canonical_code(switch_vertex(g, v)) in codes
@@ -114,16 +105,16 @@ def check_stable_set_bound(graphs: Sequence[Digraph]) -> dict:
     """
     members = list(graphs)
     if not members:
-        raise EmptySet("a stable set needs at least one member")
+        raise HypothesisUnmet("a stable set needs at least one member")
     n = members[0].n
     if any(g.n != n for g in members):
-        raise OrderMismatch("stable-set members must share an order")
+        raise HypothesisUnmet("stable-set members must share an order")
     ucodes = {canon.canonical_code(Digraph(n, underlying(g).adj)) for g in members}
     if len(ucodes) != 1:
-        raise MixedUnderlying("members must orient one underlying graph")
+        raise HypothesisUnmet("members must orient one underlying graph")
     u = underlying(members[0])
     if not is_weakly_connected(Digraph(n, u.adj)):
-        raise NotConnected("the underlying graph must be connected")
+        raise HypothesisUnmet("the underlying graph must be connected")
     if not all(g.is_oriented() for g in members):
         raise HypothesisUnmet("members must be oriented")
     if not is_switching_stable_set(members):
@@ -157,13 +148,13 @@ def switch_solutions(g: Digraph, gamma: Permutation) -> Iterator[VertexSet]:
     """
     n = g.n
     if len(gamma) != n:
-        raise LengthMismatch(f"permutation on {len(gamma)} vertices, digraph on {n}")
+        raise HypothesisUnmet(f"permutation on {len(gamma)} vertices, digraph on {n}")
     if not is_weakly_connected(g):
-        raise NotConnected("switching isomorphisms need a connected digraph")
+        raise HypothesisUnmet("switching isomorphisms need a connected digraph")
     u = underlying(g)
     target = apply_perm(g, gamma)
     if underlying(target) != u:
-        raise NotUnderlyingAut("gamma must preserve the underlying graph")
+        raise HypothesisUnmet("gamma must preserve the underlying graph")
     digons = g.digon_mask()
     if digons != target.digon_mask():
         return
@@ -213,7 +204,7 @@ def gamma_group(g: Digraph) -> AutGroup:
     if g.n > canon.AUT_MAX_N:
         raise OutOfRange(f"order {g.n} exceeds automorphism cap {canon.AUT_MAX_N}")
     if not is_weakly_connected(g):
-        raise NotConnected("switching isomorphisms need a connected digraph")
+        raise HypothesisUnmet("switching isomorphisms need a connected digraph")
     u = underlying(g)
     elems = tuple(
         p for p in canon.aut_group_undirected(u) if solve_switch_iso(g, p) is not None

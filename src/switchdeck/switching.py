@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .digraph import Digraph, VertexSet, in_masks
-from .errors import VertexOutOfRange
+from .errors import OutOfRange
 
 
 def switch_set(g: Digraph, w: VertexSet | Iterable[int]) -> Digraph:
@@ -17,7 +17,7 @@ def switch_set(g: Digraph, w: VertexSet | Iterable[int]) -> Digraph:
     if isinstance(w, VertexSet):
         bits = w.bits
         if w.n != g.n:
-            raise VertexOutOfRange(f"set on {w.n} vertices applied to order {g.n}")
+            raise OutOfRange(f"set on {w.n} vertices applied to order {g.n}")
     else:
         bits = VertexSet.from_members(g.n, w).bits
     full = (1 << g.n) - 1
@@ -36,7 +36,7 @@ def switch_vertex(g: Digraph, v: int) -> Digraph:
     when v->w was an arc, so a digon at v stays a digon.
     """
     if not 0 <= v < g.n:
-        raise VertexOutOfRange(f"vertex {v} not in 0..{g.n - 1}")
+        raise OutOfRange(f"vertex {v} not in 0..{g.n - 1}")
     bit = 1 << v
     ov = g.out[v]
     out = []

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from switchdeck import cli
+from switchdeck import census, cli
 from switchdeck.digraph import parse_digraph6
 from switchdeck.report import SearchReport
 
@@ -175,6 +175,32 @@ def test_cycles_scans_all_rotations_by_default(capsys):
     lines = out.splitlines()
     assert len(lines) == 4  # rotations 1..4
     assert all(line.endswith("W={} dist={}") for line in lines)
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda data: {}, "no 'class' field"),
+    (lambda data: {**data, "families": [{k: v for k, v in fd.items() if k != "t"}
+                                        for fd in data["families"]]}, "no 't' field"),
+    (lambda data: {**data, "counts": [1]}, "field 'counts'"),
+    (lambda data: [1, 2], "JSON object"),
+    (lambda data: {**data, "n_range": [3]}, "field 'n_range'"),
+], ids=["empty-object", "family-without-t", "counts-list", "top-level-list", "one-order"])
+def test_merge_names_a_missing_or_malformed_field(capsys, tmp_path, edit, field):
+    rc, out, _ = run(capsys, "families", "cycles", "3..6", "-1..n", "--json")
+    assert rc == cli.EXIT_OK and json.loads(out)["families"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edit(json.loads(out))))
+    rc, out, err = run(capsys, "merge", str(path))
+    assert rc == cli.EXIT_USAGE and out == ""
+    assert "error:" in err and field in err
+
+
+def test_families_exits_5_when_a_family_breaks_the_dichotomy(capsys, monkeypatch):
+    # path-unions-8 has a member with two non-isomorphic components, so
+    # reading every pair as switching-adjacent must trip the structural guard
+    monkeypatch.setattr(census, "switching_adjacent", lambda a, b: True)
+    rc, out, err = run(capsys, "families", "maxdeg2", "8")
+    assert rc == cli.EXIT_DICHOTOMY and out == "" and "error:" in err
 
 
 def test_merge_rejects_a_repeated_shard(capsys, tmp_path):

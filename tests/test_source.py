@@ -97,6 +97,31 @@ def test_every_error_class_is_raised_and_expected_by_a_test():
     assert sorted(classes - expected) == []
 
 
+def test_every_error_class_past_the_general_ones_has_its_own_handler():
+    """Each exception class but SwitchDeckError, OutOfRange and
+    HypothesisUnmet is named in cli._EXIT_CODES or in an except clause of
+    the library: a class that no caller tells apart from HypothesisUnmet
+    belongs in HypothesisUnmet."""
+    errors = ast.parse((SRC / "errors.py").read_text())
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    classes -= {"SwitchDeckError", "OutOfRange", "HypothesisUnmet"}
+    assert classes
+    exit_codes = next(
+        node.value for node in ast.parse((SRC / "cli.py").read_text()).body
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "_EXIT_CODES"
+            for target in node.targets))
+    handled = {_called_name(node) for node in ast.walk(exit_codes)}
+    handled |= {
+        _called_name(name)
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        for name in ast.walk(node.type)
+    }
+    assert sorted(classes - handled) == []
+
+
 def _literal(path: Path, name: str):
     """The literal value a module assigns to name, read without importing it."""
     for node in ast.parse(path.read_text(), str(path)).body:

@@ -13,7 +13,7 @@ from switchdeck.digraph import (
     from_arcs,
     underlying,
 )
-from switchdeck.errors import VertexOutOfRange
+from switchdeck.errors import OutOfRange
 from switchdeck.switching import switch_set, switch_vertex
 
 from .conftest import digraphs, graph_and_perm, graph_and_set
@@ -104,7 +104,7 @@ def test_vertex_switch_matches_the_one_vertex_set_switch(g, v):
 
 def test_switch_vertex_bounds():
     g = from_arcs(2, [(0, 1)])
-    with pytest.raises(VertexOutOfRange):
+    with pytest.raises(OutOfRange, match="vertex 2 not in 0..1"):
         switch_vertex(g, 2)
 
 
