@@ -140,11 +140,6 @@ def families_in_class(class_label: str) -> list[CorpusFamily]:
     return [f for f in FAMILIES if f.class_label == class_label]
 
 
-def expected_families(class_label: str) -> list[Family]:
-    """Corpus entries of one class as re-verified Family records."""
-    return [f.as_family() for f in families_in_class(class_label)]
-
-
 def _check_group(name: str, keys: tuple[str, ...]) -> tuple[bool, str]:
     if name == "stable-connected":
         codes = {canon.canonical_code(g) for g in STABLE_CONNECTED}

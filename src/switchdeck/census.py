@@ -20,9 +20,9 @@ Only those candidates reach the exact step, _exact_families: each brings its
 sorted cards (card_table rows, or the component classes of a max-degree-2
 card) and its own class, the t-deck rule keys it, and make_family re-verifies
 each family, so the output is exact.  Tournaments go to the exact step
-whole, with the canonical codes of their switches as cards.  group_by_deck
-computes decks on its own and is the reference the tests hold the engines
-to.
+whole, with the cards generate.tournament_decks reads off the child codes of
+its last level, no canonical search per card.  group_by_deck computes decks
+on its own and is the reference the tests hold the engines to.
 
 Grouping decomposes soundly: every card of a digraph keeps the labelled
 underlying graph, so graphs with equal decks share their underlying class
@@ -518,10 +518,7 @@ def _census_reduced_span(n_res: int, lo: int, hi: int) -> _TaskOut:
 # tournaments and the full oriented census
 
 def _census_tournaments(n: int, ts: Sequence[int]) -> tuple[list[Family], int]:
-    entries = []
-    for g in generate.gen_tournaments(n):
-        cards = sorted(canon.canonical_code(switch_vertex(g, v)) for v in range(n))
-        entries.append((cards, canon.canonical_code(g), g))
+    entries = list(generate.tournament_decks(n))
     return [fam for t in ts
             for fam in _exact_families("tournaments", t, entries, lambda g: g)], len(entries)
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from itertools import islice
 from math import gcd
 
-import numpy as _np
-
 from . import spaces
 from .digraph import Digraph, Permutation, VertexSet, underlying
 from .errors import HypothesisUnmet, OutOfRange
@@ -86,11 +84,6 @@ class CycleOrientation:
             dirs.append(DIGON if fwd and bwd else (FORWARD if fwd else BACKWARD))
         return cls(n, tuple(dirs)), order
 
-    def class_int(self) -> int:
-        space = spaces.CycleSpace(self.n, digons=self.has_digons)
-        x = _np.array([space.from_letters(self.dirs)], dtype=_np.uint64)
-        return int(space.orbit_min_array(x)[0])
-
 
 @dataclass(frozen=True, slots=True)
 class Rotation:
@@ -110,9 +103,6 @@ class Rotation:
     @property
     def order(self) -> int:
         return self.n // gcd(self.n, self.r) if self.r else 1
-
-    def inverse(self) -> "Rotation":
-        return Rotation(self.n, -self.r % self.n)
 
     def is_trivial(self) -> bool:
         return self.r == 0

@@ -53,9 +53,6 @@ class UnderlyingGraph:
                 yield v, b.bit_length() - 1
                 m ^= b
 
-    def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.adj) // 2
-
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
@@ -83,9 +80,6 @@ class Permutation:
     def compose(self, other: "Permutation") -> "Permutation":
         """Left-to-right composition: (self.compose(other))(v) = other(self(v))."""
         return Permutation(tuple(other.image[w] for w in self.image))
-
-    def is_identity(self) -> bool:
-        return all(v == w for v, w in enumerate(self.image))
 
 
 @dataclass(frozen=True, slots=True)

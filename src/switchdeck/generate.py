@@ -5,7 +5,8 @@ class, in a deterministic order.  Orientation classes of a fixed underlying
 shape come from orbit-minimal integers.  Tournaments and undirected graphs
 grow level by level, a vertex or an edge at a time: each level keeps the
 first child per canonical code, its parents taken in code order, and is
-sorted by code.
+sorted by code.  The codes of every child of the last tournament level give
+each class's switching deck as well (tournament_decks).
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from itertools import chain, combinations_with_replacement, groupby, product
 from typing import Callable, Iterable, Iterator
 
 from . import canon, spaces
-from .digraph import Digraph, UnderlyingGraph, disjoint_union
+from .digraph import EMPTY, Digraph, UnderlyingGraph, disjoint_union
 from .errors import HeavyFlagRequired, HypothesisUnmet, OutOfRange
+from .switching import switch_vertex
 
 # label -> (n_min, n_max, heavy_over): the orders each class supports, in the
 # census, gen and stable commands alike; orders above heavy_over need heavy
@@ -170,18 +172,29 @@ def gen_oriented_maxdeg2(n: int) -> Iterator[Digraph]:
             yield _union(comps)
 
 
-def _next_level(level: list[Digraph],
-                children: Callable[[Digraph], Iterable[Digraph]]) -> list[Digraph]:
-    """The first child per canonical code, parents taken in order, sorted by code."""
-    nxt: dict[bytes, Digraph] = {}
-    for parent in level:
-        for child in children(parent):
-            nxt.setdefault(canon.canonical_code(child), child)
-    return [child for _, child in sorted(nxt.items())]
+def _next_level(level: list[Digraph], children: Callable[[Digraph], Iterable[Digraph]]):
+    """The next level: the first child per canonical code, parents taken in
+    order, sorted by code.
+
+    Returns (kept, rows).  kept holds each kept child as (code, parent index,
+    child index, child); rows[i][j] is the code of parent i's j-th child.
+    """
+    first: dict[bytes, tuple[int, int, Digraph]] = {}
+    rows: list[list[bytes]] = []
+    for i, parent in enumerate(level):
+        row = []
+        for j, child in enumerate(children(parent)):
+            code = canon.canonical_code(child)
+            row.append(code)
+            if code not in first:
+                first[code] = (i, j, child)
+        rows.append(row)
+    return [(code, *first[code]) for code in sorted(first)], rows
 
 
 def _vertex_children(g: Digraph) -> Iterator[Digraph]:
-    """Every tournament on one more vertex that restricts to g."""
+    """Every tournament on one more vertex that restricts to g: child q has
+    the new vertex k = g.n beating exactly the vertices in the bits of q."""
     k = g.n + 1
     for pattern in range(1 << (k - 1)):
         out = [g.out[v] | (0 if pattern >> v & 1 else 1 << (k - 1)) for v in range(k - 1)]
@@ -189,13 +202,77 @@ def _vertex_children(g: Digraph) -> Iterator[Digraph]:
         yield Digraph(k, tuple(out))
 
 
+def _tournament_level(n: int):
+    """(parents, kept, rows) of the order-n tournament level.
+
+    parents are the order-(n - 1) classes, grown by vertex extension from the
+    empty tournament; kept and rows are _next_level's over them.
+    """
+    level = [EMPTY]
+    for _ in range(n):
+        parents = level
+        kept, rows = _next_level(parents, _vertex_children)
+        level = [g for *_, g in kept]
+    return parents, kept, rows
+
+
 def gen_tournaments(n: int) -> Iterator[Digraph]:
     """One representative per tournament class, by vertex extension."""
     check_orders("tournaments", n, n)
-    level = [Digraph(1, (0,))]
-    for _ in range(1, n):
-        level = _next_level(level, _vertex_children)
-    yield from level
+    for *_, g in _tournament_level(n)[1]:
+        yield g
+
+
+def tournament_decks(n: int) -> Iterator[tuple[list[bytes], bytes, Digraph]]:
+    """(sorted cards, own code, tournament) of each tournament class on n
+    vertices, in gen_tournaments order; a card is the canonical code of one
+    vertex switch.
+
+    Every card is read from the child codes the last level computed, with no
+    search per card.  Write Child(P, q) for the q-th child of an order-(n - 1)
+    tournament P (_vertex_children), k = n - 1 for its new vertex and ~q for
+    the complement of q in k bits.  Each kept T = Child(P_i, q) for a parent
+    P_i and pattern q, and two identities hold:
+
+    - switching gives a child: switch(T, k) = Child(P_i, ~q), and for v < k,
+      switch(T, v) = Child(switch(P_i, v), q ^ 1 << v), since switching v
+      reverses v's arcs inside P_i and its arc to k;
+    - relabelling gives a known child: if pi carries Q onto P_j, then pi
+      extended by k -> k carries Child(Q, q') onto Child(P_j, pi(q')), where
+      pi(q') = {pi(w) : w in q'}.  Equal codes give equal canonical forms, so
+      pi = canonical_perm(P_j)^-1 o canonical_perm(Q) does this.
+
+    So the card of T at v < k is rows[j][pi(q ^ 1 << v)], with (j, pi) from
+    one order-(n - 1) search of switch(P_i, v) per parent and vertex, and the
+    card at k is rows[i][~q].
+    """
+    check_orders("tournaments", n, n)
+    parents, kept, rows = _tournament_level(n)
+    k = n - 1
+    index = {canon.canonical_code(p): j for j, p in enumerate(parents)}
+    # order[j][pos]: the vertex of P_j at position pos of its canonical form
+    order = [sorted(range(k), key=canon.canonical_perm(p).image.__getitem__) for p in parents]
+    moves = []   # moves[i][v]: rows[j] and pi as bits, pi(w) at w, for switch(P_i, v)
+    for p in parents:
+        per_vertex = []
+        for v in range(k):
+            sw = switch_vertex(p, v)
+            j = index[canon.canonical_code(sw)]
+            pi = [order[j][pos] for pos in canon.canonical_perm(sw).image]
+            per_vertex.append((rows[j], [1 << w for w in pi]))
+        moves.append(per_vertex)
+    full = (1 << k) - 1
+    for code, i, q, g in kept:
+        cards = [rows[i][full ^ q]]
+        for v, (row, bits) in enumerate(moves[i]):
+            x = q ^ 1 << v
+            y = 0
+            for w, b in enumerate(bits):
+                if x >> w & 1:
+                    y |= b
+            cards.append(row[y])
+        cards.sort()
+        yield cards, code, g
 
 
 def _edge_children(g: Digraph) -> Iterator[Digraph]:
@@ -230,7 +307,7 @@ def gen_underlying_graphs(n: int) -> Iterator[UnderlyingGraph]:
     while level:
         for g in level:
             yield UnderlyingGraph(n, g.out)
-        level = _next_level(level, _edge_children)
+        level = [g for *_, g in _next_level(level, _edge_children)[0]]
 
 
 def gen_all_oriented(n: int) -> Iterator[Digraph]:

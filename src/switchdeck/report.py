@@ -107,9 +107,6 @@ class SearchReport:
     elapsed_ms: int = 0
     shard: tuple[int, int] | None = None  # (i, k) for one shard of a run
 
-    def families_at(self, n: int) -> list[Family]:
-        return [f for f in self.families if f.n == n]
-
     def to_dict(self) -> dict:
         """The report's JSON object; "shard" appears only on shard runs."""
         out = {

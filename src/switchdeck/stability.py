@@ -44,8 +44,9 @@ def classify_stable_connected(n: int) -> list[Digraph]:
     graph with trivial automorphism group admits no stable orientation (a
     switch about a non-isolated vertex moves some edge, and the only possible
     isomorphism back would be an underlying automorphism), so those are
-    skipped.  Complete graphs go through the tournament generator: K8 alone
-    would need 40,319 automorphism actions over 2^28 orientations.
+    skipped.  Complete graphs go through the tournament decks, a tournament
+    being stable when every card is its own class: K8 alone would need
+    40,319 automorphism actions over 2^28 orientations.
 
     Orders 8 and up add a divisibility prune that keeps the scan tractable:
     for a stable D every singleton is a realizable switching set, realizable
@@ -63,7 +64,8 @@ def classify_stable_connected(n: int) -> list[Digraph]:
         if not is_weakly_connected(Digraph(u.n, u.adj)):
             continue
         if n >= 2 and u.is_complete():
-            found.extend(g for g in generate.gen_tournaments(n) if is_switching_stable(g))
+            found.extend(g for cards, own, g in generate.tournament_decks(n)
+                         if all(card == own for card in cards))
             continue
         aut = canon.aut_group_undirected(u)
         if n >= 2 and aut.order == 1:

@@ -134,7 +134,7 @@ def test_criterion_3_maxdeg2_census():
         graphs = sum(f.size for f in report.families)
         pairs = sum(comb(f.size, 2) for f in report.families)
         assert (graphs, pairs) == (44, 29)
-        assert c.elapsed <= 600, f"took {c.elapsed:.1f}s, budget 600s"
+        assert c.elapsed <= 5, f"took {c.elapsed:.1f}s, budget 5s"
         reach = "n<=16"
         if HEAVY:
             wide = run_census("maxdeg2", (1, 30), (0, 0), heavy=True)
@@ -153,7 +153,7 @@ def test_criterion_4_cycle_census():
                       for f in catalog.families_in_class("cycles"))
         assert got == want
         assert not [f for f in report.families if f.n > 8]
-        assert c.elapsed <= 1800, f"took {c.elapsed:.1f}s, budget 1800s"
+        assert c.elapsed <= 5, f"took {c.elapsed:.1f}s, budget 5s"
         reach = "3..20"
         if HEAVY:
             wide = run_census("cycles", (3, 30), (-1, None), heavy=True)
@@ -170,7 +170,7 @@ def test_criterion_5_tournament_census():
         expect_family_profile(report, {8: {2: 20, 3: 4, 4: 2}})
         quadruple = catalog.family("tournaments-8").as_family()
         assert any(f.members == quadruple.members and f.t == 0 for f in report.families)
-        assert c.elapsed <= 300, f"took {c.elapsed:.1f}s, budget 300s"
+        assert c.elapsed <= 20, f"took {c.elapsed:.1f}s, budget 20s"
         c.detail = (f"20 pairs, 4 triples, 2 quadruples at n=8, figure "
                     f"quadruple found, in {c.elapsed:.1f}s")
 

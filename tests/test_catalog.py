@@ -65,7 +65,7 @@ def test_verify_corpus_reports_a_group_that_fails_its_checks(monkeypatch):
 
 
 def test_expected_families_match_figures():
-    fams = catalog.expected_families("cycles")
+    fams = [f.as_family() for f in catalog.families_in_class("cycles")]
     assert len(fams) == 13
     assert sorted({f.t for f in fams}) == [-1, 0, 1, 2]
-    assert {f.n for f in catalog.expected_families("maxdeg2")} == {8}
+    assert {f.as_family().n for f in catalog.families_in_class("maxdeg2")} == {8}

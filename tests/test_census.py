@@ -107,7 +107,7 @@ def test_inverted_t_range_is_rejected_before_any_work(monkeypatch):
         run_census("paths", (3, 5), (3, 1))
     monkeypatch.undo()
     # an upper bound above n is clamped to n, not rejected
-    assert run_census("paths", (3, 3), (1, 9)).families_at(3)
+    assert [f for f in run_census("paths", (3, 3), (1, 9)).families if f.n == 3]
 
 
 def test_switching_adjacent():
@@ -516,7 +516,7 @@ def test_act_array_matches_scalar_act():
     for n in range(1, 6):
         for u in gen_underlying_graphs(n):
             space = OrientationSpace(u)
-            perms = [p for p in space.aut.elements if not p.is_identity()]
+            perms = [p for p in space.aut.elements if p.image != tuple(range(n))]
             assert len(space.actions) == len(perms)
             if n == 1:
                 assert not space.actions

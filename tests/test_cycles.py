@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +17,7 @@ from switchdeck.cycles import (
 )
 from switchdeck.digraph import VertexSet, apply_perm, from_arcs
 from switchdeck.errors import HypothesisUnmet, OutOfRange
+from switchdeck.spaces import CycleSpace
 from switchdeck.switching import switch_set
 
 
@@ -25,6 +27,13 @@ def cycle_orients(draw, min_n=3, max_n=8, digons=True):
     alphabet = "FBD" if digons else "FB"
     text = draw(st.text(alphabet, min_size=n, max_size=n))
     return CycleOrientation.from_letters(text)
+
+
+def class_int(co: CycleOrientation) -> int:
+    """The orbit-minimal string of co's class in its cycle space."""
+    space = CycleSpace(co.n, digons=co.has_digons)
+    x = np.array([space.from_letters(co.dirs)], dtype=np.uint64)
+    return int(space.orbit_min_array(x)[0])
 
 
 def all_solutions(co: CycleOrientation, rot: Rotation) -> list[int]:
@@ -52,7 +61,7 @@ def test_digraph_round_trip_recovers_class():
     co = CycleOrientation.from_letters("FFBDF")
     back, order = CycleOrientation.from_digraph(co.to_digraph())
     assert sorted(order) == list(range(5))
-    assert back.class_int() == co.class_int()
+    assert class_int(back) == class_int(co)
     with pytest.raises(HypothesisUnmet, match="not a single cycle"):
         CycleOrientation.from_digraph(from_arcs(3, [(0, 1), (1, 2)]))
 
@@ -60,7 +69,6 @@ def test_digraph_round_trip_recovers_class():
 def test_rotation_helpers():
     rot = Rotation(6, 4)
     assert rot.order == 3
-    assert rot.inverse().r == 2
     assert Rotation(6, 6).is_trivial()
     assert Rotation(5, 2).as_permutation().image == (2, 3, 4, 0, 1)
 
@@ -141,4 +149,4 @@ def test_class_int_separates_isomorphism_classes(data):
     a = data.draw(cycle_orients(max_n=7))
     b = data.draw(cycle_orients(min_n=a.n, max_n=a.n))
     same = is_isomorphic(a.to_digraph(), b.to_digraph())
-    assert (a.class_int() == b.class_int()) == same
+    assert (class_int(a) == class_int(b)) == same

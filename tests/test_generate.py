@@ -20,8 +20,10 @@ from switchdeck.generate import (
     gen_underlying_graphs,
     gen_underlying_maxdeg2,
     maxdeg2_shapes,
+    tournament_decks,
 )
 from switchdeck.stability import classify_stable_connected
+from switchdeck.switching import switch_vertex
 
 from . import _oracles
 
@@ -89,11 +91,24 @@ def test_tournament_generator_counts(n):
                 assert ((g.out[v] >> w) & 1) != ((g.out[w] >> v) & 1)
 
 
+def test_tournament_decks_match_one_search_per_card():
+    """Every class of order 1..7: the helper's cards, read off the last
+    level's child codes, are the codes of its vertex switches, and its
+    tournaments are gen_tournaments', in order."""
+    for n in range(1, 8):
+        entries = list(tournament_decks(n))
+        assert [g for *_, g in entries] == list(gen_tournaments(n))
+        for cards, own, g in entries:
+            assert own == canonical_code(g)
+            assert cards == sorted(canonical_code(switch_vertex(g, v)) for v in range(n))
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_underlying_generator_counts(n):
     us = list(gen_underlying_graphs(n))
     assert len(us) == GRAPHS[n]
-    keys = [(u.edge_count(), canonical_code(Digraph(n, u.adj))) for u in us]
+    keys = [(sum(map(int.bit_count, u.adj)) // 2, canonical_code(Digraph(n, u.adj)))
+            for u in us]
     assert len(distinct_codes(Digraph(n, u.adj) for u in us)) == len(us)
     assert keys == sorted(keys)
     assert sum(1 for u in us if is_connected(u)) == \

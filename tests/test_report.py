@@ -119,8 +119,8 @@ def test_merge_reports_unions_families_and_adds_counts():
     assert merged.n_range == (1, 6)
     assert merged.families == [fam]
     assert merged.counts == {4: 4, 5: 10, 6: 20}
-    assert merged.families_at(4) == [fam]
-    assert merged.families_at(5) == []
+    assert [f for f in merged.families if f.n == 4] == [fam]
+    assert [f for f in merged.families if f.n == 5] == []
     s0 = SearchReport("paths", (1, 4), (0, 0), shard=(0, 2))
     s1 = SearchReport("paths", (1, 4), (0, 0), shard=(1, 2))
     s0.families = [fam]
