@@ -337,7 +337,6 @@ class OrientationSpace:
     """
 
     def __init__(self, u: UnderlyingGraph):
-        self.u = u
         self.n = u.n
         self.edges = edge_list(u)
         self.m = m = len(self.edges)
@@ -438,10 +437,3 @@ class OrientationSpace:
             else:
                 out[a] |= 1 << b
         return Digraph(self.n, tuple(out))
-
-    def from_digraph(self, g: Digraph) -> int:
-        x = 0
-        for i, (a, b) in enumerate(self.edges):
-            if g.has_arc(b, a):
-                x |= 1 << (self.m - 1 - i)
-        return x

@@ -7,22 +7,20 @@ in a SearchReport.
 Two engines give every class a 64-bit signature of its t-deck: the wrapping
 sum of a mixed class id per card, adjusted per t by the mixed id of the class
 itself.  _space_census walks the orbit-minimum representatives of paths,
-cycles, digon cycles and the orientations of each underlying graph in domain
-chunks, with card ids from card_table.  _census_one_shape signs every class
-of one max-degree-2 component shape at once: a class is a multiset of
-component classes, its id the wrapping sum of their ids, and each card swaps
-one component for its switch, read from the part's card rows.  Equal t-decks
-always give equal signatures, so every family lies inside a set of colliding
-signatures, and _candidates picks exactly the classes whose signature
-another class shares.
+cycles, digon cycles, tournaments and the orientations of each underlying
+graph in domain chunks, with card ids from card_table.  _census_one_shape
+signs every class of one max-degree-2 component shape at once: a class is a
+multiset of component classes, its id the wrapping sum of their ids, and
+each card swaps one component for its switch, read from the part's card
+rows.  Equal t-decks always give equal signatures, so every family lies
+inside a set of colliding signatures, and _candidates picks exactly the
+classes whose signature another class shares.
 
 Only those candidates reach the exact step, _exact_families: each brings its
 sorted cards (card_table rows, or the component classes of a max-degree-2
 card) and its own class, the t-deck rule keys it, and make_family re-verifies
-each family, so the output is exact.  Tournaments go to the exact step
-whole, with the cards generate.tournament_decks reads off the child codes of
-its last level, no canonical search per card.  group_by_deck computes decks
-on its own and is the reference the tests hold the engines to.
+each family, so the output is exact.  group_by_deck computes decks on its
+own and is the reference the tests hold the engines to.
 
 Grouping decomposes soundly: every card of a digraph keeps the labelled
 underlying graph, so graphs with equal decks share their underlying class
@@ -41,7 +39,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as _np
 
 from . import canon, catalog, decks, generate, spaces
-from .canon import OrientationSpace
 from .digraph import (
     EMPTY,
     Digraph,
@@ -306,13 +303,14 @@ def _candidates(chunks, t: int, count: int) -> list[int]:
         pos += len(key)
     keys = keys[:pos]
     keys.sort()
-    dups = _np.unique(keys[1:][keys[1:] == keys[:-1]])
+    dups = keys[1:][keys[1:] == keys[:-1]]   # sorted, for searchsorted
     del keys
     cand: list[int] = []
     if len(dups):
         for chunk in chunks():
             pool, key = _keyed(chunk, t)
-            cand.extend(pool[_np.isin(key, dups)].tolist())
+            at = _np.minimum(_np.searchsorted(dups, key), len(dups) - 1)
+            cand.extend(pool[dups[at] == key].tolist())
     return cand
 
 
@@ -515,46 +513,34 @@ def _census_reduced_span(n_res: int, lo: int, hi: int) -> _TaskOut:
 
 
 # ---------------------------------------------------------------------------
-# tournaments and the full oriented census
-
-def _census_tournaments(n: int, ts: Sequence[int]) -> tuple[list[Family], int]:
-    entries = list(generate.tournament_decks(n))
-    return [fam for t in ts
-            for fam in _exact_families("tournaments", t, entries, lambda g: g)], len(entries)
-
-
-def _all_oriented_tasks(n: int, ts: Sequence[int]) -> list[Callable[[], tuple[list[Family], int]]]:
-    return [
-        lambda u=u: _space_census(OrientationSpace(u), ts, "all-oriented")
-        for u in generate.gen_underlying_graphs(n)
-    ]
-
-
-# ---------------------------------------------------------------------------
 # driver
 
 _SPACES = {
     "paths": spaces.PathSpace,
     "cycles": spaces.CycleSpace,
     "digon-cycles": lambda n: spaces.CycleSpace(n, digons=True),
+    "tournaments": generate.TournamentSpace,
 }
 
 
 def _space_tasks(label: str):
-    """The work units of one order of a string class: its whole space."""
+    """The work units of one order of a space class: its whole space."""
     return lambda n, ts: [lambda: _space_census(_SPACES[label](n), ts, label)]
+
+
+def _all_oriented_tasks(n: int, ts: Sequence[int]) -> list[Callable[[], tuple[list[Family], int]]]:
+    """One work unit per underlying graph, on the space the router picks."""
+    return [lambda u=u: _space_census(generate.orientation_space(u), ts, "all-oriented")
+            for u in generate.gen_underlying_graphs(n)]
 
 
 # census class -> (n, ts) -> the work units of that order; maxdeg2 orders
 # above the shape ceiling have none, the reduced span covers them
 CENSUS_UNITS: dict[str, Callable[[int, list[int]], list[Callable]]] = {
-    "paths": _space_tasks("paths"),
-    "cycles": _space_tasks("cycles"),
-    "digon-cycles": _space_tasks("digon-cycles"),
+    **{label: _space_tasks(label) for label in _SPACES},
     "maxdeg2": lambda n, ts: ([lambda s=s: _census_one_shape(s, ts)
                                for s in generate.maxdeg2_shapes(n)]
                               if n <= MAXDEG2_SHAPE_MAX_N else []),
-    "tournaments": lambda n, ts: [lambda: _census_tournaments(n, ts)],
     "all-oriented": _all_oriented_tasks,
 }
 

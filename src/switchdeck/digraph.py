@@ -67,10 +67,6 @@ class Permutation:
 
     image: tuple[int, ...]
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
     def __call__(self, v: int) -> int:
         return self.image[v]
 

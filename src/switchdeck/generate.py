@@ -5,8 +5,8 @@ class, in a deterministic order.  Orientation classes of a fixed underlying
 shape come from orbit-minimal integers.  Tournaments and undirected graphs
 grow level by level, a vertex or an edge at a time: each level keeps the
 first child per canonical code, its parents taken in code order, and is
-sorted by code.  The codes of every child of the last tournament level give
-each class's switching deck as well (tournament_decks).
+sorted by code.  The child codes of the last tournament level also give
+each class's cards: TournamentSpace, where orientation_space sends K_n.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, groupby, product
 from typing import Callable, Iterable, Iterator
+
+import numpy as _np
 
 from . import canon, spaces
 from .digraph import EMPTY, Digraph, UnderlyingGraph, disjoint_union
@@ -223,10 +225,9 @@ def gen_tournaments(n: int) -> Iterator[Digraph]:
         yield g
 
 
-def tournament_decks(n: int) -> Iterator[tuple[list[bytes], bytes, Digraph]]:
-    """(sorted cards, own code, tournament) of each tournament class on n
-    vertices, in gen_tournaments order; a card is the canonical code of one
-    vertex switch.
+def _tournament_cards(n: int, parents, kept, rows):
+    """(classes, n) uint64 table: entry [x, v] is the index in kept of the
+    class of kept tournament x switched at vertex v.
 
     Every card is read from the child codes the last level computed, with no
     search per card.  Write Child(P, q) for the q-th child of an order-(n - 1)
@@ -244,35 +245,55 @@ def tournament_decks(n: int) -> Iterator[tuple[list[bytes], bytes, Digraph]]:
 
     So the card of T at v < k is rows[j][pi(q ^ 1 << v)], with (j, pi) from
     one order-(n - 1) search of switch(P_i, v) per parent and vertex, and the
-    card at k is rows[i][~q].
+    card at k is rows[i][~q]: as an index, ~q counts from the row's end.
     """
-    check_orders("tournaments", n, n)
-    parents, kept, rows = _tournament_level(n)
     k = n - 1
+    class_of = {code: x for x, (code, *_) in enumerate(kept)}
+    rows = [[class_of[code] for code in row] for row in rows]
     index = {canon.canonical_code(p): j for j, p in enumerate(parents)}
     # order[j][pos]: the vertex of P_j at position pos of its canonical form
     order = [sorted(range(k), key=canon.canonical_perm(p).image.__getitem__) for p in parents]
-    moves = []   # moves[i][v]: rows[j] and pi as bits, pi(w) at w, for switch(P_i, v)
-    for p in parents:
-        per_vertex = []
-        for v in range(k):
-            sw = switch_vertex(p, v)
-            j = index[canon.canonical_code(sw)]
-            pi = [order[j][pos] for pos in canon.canonical_perm(sw).image]
-            per_vertex.append((rows[j], [1 << w for w in pi]))
-        moves.append(per_vertex)
-    full = (1 << k) - 1
-    for code, i, q, g in kept:
-        cards = [rows[i][full ^ q]]
-        for v, (row, bits) in enumerate(moves[i]):
-            x = q ^ 1 << v
-            y = 0
-            for w, b in enumerate(bits):
-                if x >> w & 1:
-                    y |= b
-            cards.append(row[y])
-        cards.sort()
-        yield cards, code, g
+
+    def move(sw):
+        """rows[j] and pi as bits, pi(w) at w, for sw = switch(P_i, v)."""
+        j = index[canon.canonical_code(sw)]
+        return rows[j], [1 << order[j][pos] for pos in canon.canonical_perm(sw).image]
+
+    moves = [[move(switch_vertex(p, v)) for v in range(k)] for p in parents]
+    columns = [[row[sum(b for w, b in enumerate(bits) if (q ^ 1 << v) >> w & 1)]
+                for v, (row, bits) in enumerate(moves[i])] + [rows[i][~q]]
+               for _, i, q, _ in kept]
+    return _np.array(columns, dtype=_np.uint64)
+
+
+class TournamentSpace:
+    """Tournament classes on n vertices as a space whose domain is the
+    classes themselves, in code order: each x is its own orbit minimum, so
+    there are no actions, and switched_array reads _tournament_cards."""
+
+    def __init__(self, n: int):
+        check_orders("tournaments", n, n)
+        parents, kept, rows = _tournament_level(n)
+        self.n = n
+        self.domain_total = len(kept)
+        self.actions = []
+        self.vertex_images = _np.empty((0, n), dtype=_np.intp)
+        self.cards = _tournament_cards(n, parents, kept, rows)
+        self._kept = [g for *_, g in kept]
+
+    domain_chunk = spaces.index_chunk
+    orbit_min_array = spaces.group_min
+    rep_chunks = spaces.scan_reps
+    reps_array = spaces.concat_reps
+
+    def switched_array(self, xs, v):
+        return self.cards[xs, v]
+
+    def count(self) -> int:
+        return self.domain_total
+
+    def digraph(self, x: int) -> Digraph:
+        return self._kept[x]
 
 
 def _edge_children(g: Digraph) -> Iterator[Digraph]:
@@ -308,6 +329,15 @@ def gen_underlying_graphs(n: int) -> Iterator[UnderlyingGraph]:
         for g in level:
             yield UnderlyingGraph(n, g.out)
         level = [g for *_, g in _next_level(level, _edge_children)[0]]
+
+
+def orientation_space(u: UnderlyingGraph):
+    """The space of u's orientation classes: TournamentSpace for a complete
+    u, whose cards need no scan, else canon.OrientationSpace(u).  K8 alone
+    would take 40,319 automorphism actions over 2^28 orientations."""
+    if u.is_complete():
+        return TournamentSpace(u.n)
+    return canon.OrientationSpace(u)
 
 
 def gen_all_oriented(n: int) -> Iterator[Digraph]:

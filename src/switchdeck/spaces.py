@@ -9,14 +9,14 @@ is lexicographic order.  Class representatives are orbit minima under the
 relabelling group: string reversal composes with direction complement, and
 cycles additionally rotate.
 
-PathSpace, CycleSpace and canon.OrientationSpace share one protocol, whose
-class arithmetic all runs on uint64 arrays:
+PathSpace, CycleSpace, canon.OrientationSpace and generate.TournamentSpace
+share one protocol, whose class arithmetic all runs on uint64 arrays:
 
 - domain_total, and domain_chunk(start, stop): the strings at domain
   indices [start, stop), ascending.  A domain holds the strings that can be
   orbit minima, not every string: every orientation for paths and
   OrientationSpace, the strings starting with letter 0 (plus the all-digon
-  string) for cycles;
+  string) for cycles, and for TournamentSpace its classes themselves;
 - actions, and act_array(action, xs): the non-identity elements of the
   relabelling group, and each string's image under one of them;
 - vertex_images: one row per action, the vertex that action sends each
@@ -39,7 +39,7 @@ exact step on the census's signature candidates.
 
 from __future__ import annotations
 
-from array import array
+from bisect import bisect_left
 from functools import cached_property
 from math import gcd
 from typing import Iterable, Iterator
@@ -121,8 +121,6 @@ def tabulated_reps(space) -> list[int]:
             raise HypothesisUnmet(f"{type(space).__name__} has a card outside its orbit minima")
         reps = xs.tolist()
         space._card_rows = rows
-        space._cards = array("Q", cards.tobytes())
-        space._offset = {x: i * space.n for i, x in enumerate(reps)}
         space._reps = reps
     return reps
 
@@ -136,9 +134,12 @@ def card_rows(space):
 
 def card_of(space, x: int, v: int) -> int:
     """Class id of the card at vertex v of the orbit minimum x, read from the
-    space's card table."""
-    tabulated_reps(space)
-    return space._cards[space._offset[x] + v]
+    space's card rows."""
+    reps = tabulated_reps(space)
+    i = bisect_left(reps, x)
+    if i == len(reps) or reps[i] != x:
+        raise HypothesisUnmet(f"{x} is not an orbit minimum of {type(space).__name__}")
+    return reps[space._card_rows[i, v]]
 
 
 def _reverse64(xs, pairs: bool, width: int):

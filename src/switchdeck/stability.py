@@ -40,13 +40,12 @@ def is_switching_stable(g: Digraph) -> bool:
 def classify_stable_connected(n: int) -> list[Digraph]:
     """All connected oriented switching-stable classes on exactly n vertices.
 
-    Scans orientation classes per connected underlying graph.  A connected
-    graph with trivial automorphism group admits no stable orientation (a
-    switch about a non-isolated vertex moves some edge, and the only possible
-    isomorphism back would be an underlying automorphism), so those are
-    skipped.  Complete graphs go through the tournament decks, a tournament
-    being stable when every card is its own class: K8 alone would need
-    40,319 automorphism actions over 2^28 orientations.
+    Scans the orientation classes of each connected underlying graph, in the
+    space generate.orientation_space picks for it, keeping the classes whose
+    every card is their own class.  A connected graph with trivial
+    automorphism group admits no stable orientation (a switch about a
+    non-isolated vertex moves some edge, and the only possible isomorphism
+    back would be an underlying automorphism), so those are skipped.
 
     Orders 8 and up add a divisibility prune that keeps the scan tractable:
     for a stable D every singleton is a realizable switching set, realizable
@@ -63,16 +62,12 @@ def classify_stable_connected(n: int) -> list[Digraph]:
     for u in generate.gen_underlying_graphs(n):
         if not is_weakly_connected(Digraph(u.n, u.adj)):
             continue
-        if n >= 2 and u.is_complete():
-            found.extend(g for cards, own, g in generate.tournament_decks(n)
-                         if all(card == own for card in cards))
-            continue
         aut = canon.aut_group_undirected(u)
         if n >= 2 and aut.order == 1:
             continue
         if n >= _STABLE_PRUNE_MIN_N and aut.order % (1 << (n - 1)):
             continue
-        space = OrientationSpace(u)
+        space = generate.orientation_space(u)
         xs = space.reps_array()
         # most classes fail at vertex 0 already, so test that card first
         xs = xs[space.orbit_min_array(space.switched_array(xs, 0)) == xs]

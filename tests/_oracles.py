@@ -60,6 +60,17 @@ def least_by_code(space, domain) -> dict[bytes, int]:
     return least
 
 
+def orientation_int(space, g) -> int:
+    """The integer of an OrientationSpace that orients the space's
+    underlying graph as g does: bit (m-1-i) set when edge i = (a, b) runs
+    from b to a."""
+    x = 0
+    for i, (a, b) in enumerate(space.edges):
+        if g.has_arc(b, a):
+            x |= 1 << (space.m - 1 - i)
+    return x
+
+
 def least_per_class(space, domain) -> list[int]:
     """The least strings of least_by_code, ascending: the orbit minima the
     space's rep scans must return."""

@@ -10,7 +10,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from switchdeck import catalog, census, spaces
+from switchdeck import catalog, census, generate, spaces
 from switchdeck.canon import OrientationSpace, canonical_code, is_isomorphic
 from switchdeck.census import (
     _census_reduced_span,
@@ -32,6 +32,7 @@ from switchdeck.errors import (
     OutOfRange,
 )
 from switchdeck.generate import (
+    TournamentSpace,
     gen_all_oriented,
     gen_oriented_cycles,
     gen_oriented_maxdeg2,
@@ -52,6 +53,7 @@ from ._oracles import (
     TOURNAMENTS,
     least_by_code,
     least_per_class,
+    orientation_int,
 )
 
 K1 = Digraph(1, (0,))
@@ -286,6 +288,17 @@ def test_order8_all_oriented_unit_matches_exact_grouping(name, classes, families
     assert len(want) == families
     assert sorted(list(f.members) for f in got) == want
     assert all(f.class_label == "all-oriented" and (f.n, f.t) == (8, 0) for f in got)
+
+
+def test_orientation_space_routes_complete_graphs_without_changing_the_census():
+    """K_n through TournamentSpace gives the report of its OrientationSpace
+    scan, at every t."""
+    for n in range(1, 7):
+        u = underlying(from_arcs(n, list(combinations(range(n), 2))))
+        assert isinstance(generate.orientation_space(u), TournamentSpace)
+        ts = list(range(-1, n + 1))
+        assert census._space_census(OrientationSpace(u), ts, "all-oriented") == \
+            census._space_census(generate.orientation_space(u), ts, "all-oriented")
 
 
 @pytest.mark.parametrize("label, lo, hi, gen", [
@@ -524,7 +537,8 @@ def test_act_array_matches_scalar_act():
             domain = range(space.domain_total)
             xs = np.arange(space.domain_total, dtype=np.uint64)
             for perm, action in zip(perms, space.actions):
-                want = [space.from_digraph(apply_perm(space.digraph(x), perm)) for x in domain]
+                want = [orientation_int(space, apply_perm(space.digraph(x), perm))
+                        for x in domain]
                 assert space.act_array(action, xs).tolist() == want
     assert edgeless_with_actions == 4  # n = 2..5
 

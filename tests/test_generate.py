@@ -11,6 +11,7 @@ from switchdeck.digraph import Digraph, is_connected, underlying
 from switchdeck.errors import HeavyFlagRequired, OutOfRange
 from switchdeck.generate import (
     CLASS_BOUNDS,
+    TournamentSpace,
     check_orders,
     gen_all_oriented,
     gen_oriented_cycles,
@@ -20,8 +21,8 @@ from switchdeck.generate import (
     gen_underlying_graphs,
     gen_underlying_maxdeg2,
     maxdeg2_shapes,
-    tournament_decks,
 )
+from switchdeck.spaces import card_table
 from switchdeck.stability import classify_stable_connected
 from switchdeck.switching import switch_vertex
 
@@ -91,16 +92,22 @@ def test_tournament_generator_counts(n):
                 assert ((g.out[v] >> w) & 1) != ((g.out[w] >> v) & 1)
 
 
-def test_tournament_decks_match_one_search_per_card():
-    """Every class of order 1..7: the helper's cards, read off the last
-    level's child codes, are the codes of its vertex switches, and its
-    tournaments are gen_tournaments', in order."""
+def test_tournament_space_cards_match_one_search_per_card():
+    """Every class of order 1..7: the space's classes are gen_tournaments',
+    in order and in ascending code order, and the card at each vertex, read
+    off the last level's child codes, is the class of that vertex switch."""
     for n in range(1, 8):
-        entries = list(tournament_decks(n))
-        assert [g for *_, g in entries] == list(gen_tournaments(n))
-        for cards, own, g in entries:
-            assert own == canonical_code(g)
-            assert cards == sorted(canonical_code(switch_vertex(g, v)) for v in range(n))
+        space = TournamentSpace(n)
+        xs = space.reps_array()
+        assert xs.tolist() == list(range(space.count()))
+        graphs = [space.digraph(x) for x in xs.tolist()]
+        assert graphs == list(gen_tournaments(n))
+        codes = [canonical_code(g) for g in graphs]
+        assert codes == sorted(set(codes))
+        table = card_table(space, xs)
+        for v in range(n):
+            assert [codes[x] for x in table[v].tolist()] == \
+                [canonical_code(switch_vertex(g, v)) for g in graphs]
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -162,8 +169,7 @@ def test_every_bounds_row_rejects_its_edges_before_enumerating(label, monkeypatc
         raise AssertionError(f"{label} enumerated before its order check")
 
     for owner, name in ((generate, "_next_level"), (census, "_space_census"),
-                        (census, "_census_one_shape"), (census, "_census_reduced_span"),
-                        (census, "_census_tournaments")):
+                        (census, "_census_one_shape"), (census, "_census_reduced_span")):
         monkeypatch.setattr(owner, name, enumerated)
     n_min, n_max, heavy_over = CLASS_BOUNDS[label]
     cases = [(n_min - 1, OutOfRange, cli.EXIT_USAGE), (n_max + 1, OutOfRange, cli.EXIT_USAGE)]
