@@ -45,7 +45,7 @@ from .digraph import (
     in_masks,
 )
 from .errors import OutOfRange
-from .spaces import concat_reps, group_min, index_chunk, scan_reps
+from .spaces import concat_reps, group_min, index_chunk
 
 CanonicalCode = bytes
 
@@ -426,7 +426,6 @@ class OrientationSpace:
                 fixed += 1 << cycles
         return fixed // (len(self.actions) + 1)
 
-    rep_chunks = scan_reps
     reps_array = concat_reps
 
     def digraph(self, x: int) -> Digraph:

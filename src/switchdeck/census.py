@@ -9,7 +9,8 @@ sum of a mixed class id per card, adjusted per t by the mixed id of the class
 itself.  _space_census walks the orbit-minimum representatives of paths,
 cycles, digon cycles, tournaments and the orientations of each underlying
 graph in domain chunks, with card ids from card_table.  _census_one_shape
-signs every class of one max-degree-2 component shape at once: a class is a
+signs every class of one max-degree-2 component shape at once, over the
+rows of generate._shape_rows that gen maxdeg2 also reads: a class is a
 multiset of component classes, its id the wrapping sum of their ids, and
 each card swaps one component for its switch, read from the part's card
 rows.  Equal t-decks always give equal signatures, so every family lies
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, groupby
+from itertools import chain, groupby
 from math import comb
 from typing import Callable, Iterable, Sequence
 
@@ -93,9 +94,10 @@ def switching_adjacent(a: Digraph, b: Digraph) -> bool:
     return any(canon.canonical_code(switch_vertex(a, v)) == target for v in range(a.n))
 
 
-def possible_components(g: Digraph, universe: Iterable[Digraph],
-                        universe_closed: bool = False) -> list[bytes]:
-    """Component classes over every universe member sharing g's deck.
+def _same_deck_components(g: Digraph, universe: Iterable[Digraph],
+                          universe_closed: bool) -> list[set[bytes]]:
+    """The component classes of g and of each universe member sharing its
+    deck, g's first.
 
     The universe must contain every graph with g's deck for the answer to
     mean anything, which the caller asserts via universe_closed.
@@ -106,28 +108,20 @@ def possible_components(g: Digraph, universe: Iterable[Digraph],
             "graph sharing the deck"
         )
     own = decks.deck(g)
-    out: set[bytes] = set()
-    for h in chain((g,), universe):
-        if h.n == g.n and decks.deck(h) == own:
-            out.update(canon.canonical_code(p) for p in components(h).parts)
-    return sorted(out)
+    return [{canon.canonical_code(p) for p in components(h).parts}
+            for h in chain((g,), universe) if h.n == g.n and decks.deck(h) == own]
+
+
+def possible_components(g: Digraph, universe: Iterable[Digraph],
+                        universe_closed: bool = False) -> list[bytes]:
+    """Component classes over every universe member sharing g's deck."""
+    return sorted(set().union(*_same_deck_components(g, universe, universe_closed)))
 
 
 def definite_components(g: Digraph, universe: Iterable[Digraph],
                         universe_closed: bool = False) -> list[bytes]:
     """Component classes present in every universe member sharing g's deck."""
-    if not universe_closed:
-        raise HypothesisUnmet(
-            "pass universe_closed=True only when the universe holds every "
-            "graph sharing the deck"
-        )
-    own = decks.deck(g)
-    acc: set[bytes] | None = None
-    for h in chain((g,), universe):
-        if h.n == g.n and decks.deck(h) == own:
-            codes = {canon.canonical_code(p) for p in components(h).parts}
-            acc = codes if acc is None else acc & codes
-    return sorted(acc or ())
+    return sorted(set.intersection(*_same_deck_components(g, universe, universe_closed)))
 
 
 def strip_stable_components(g: Digraph) -> tuple[Digraph, int]:
@@ -315,9 +309,9 @@ def _candidates(chunks, t: int, count: int) -> list[int]:
 
 
 def _rep_chunks(space, count: int):
-    """space.rep_chunks at the engine's chunk size, checked against count()."""
+    """scan_reps at the engine's chunk size, checked against count()."""
     found = 0
-    for xs in space.rep_chunks(_CHUNK):
+    for xs in spaces.scan_reps(space, _CHUNK):
         found += len(xs)
         if found > count:
             break
@@ -373,31 +367,18 @@ def _part_table(part):
     return rows, _part_hash(part, _np.arange(len(rows), dtype=_np.uint64))
 
 
-@lru_cache(maxsize=256)
-def _multisets(r: int, m: int):
-    """The m-multisets of range(r) as rows, in combinations_with_replacement
-    order."""
-    return _np.array(list(combinations_with_replacement(range(r), m)),
-                     dtype=_np.intp).reshape(-1, m)
-
-
 def _shape_signed(shape):
     """(classes, signed chunk) of one shape.
 
-    classes holds one row per class in _shape_classes order, the row of each
-    slot's component among its part's orbit minima: each run of m equal
-    parts takes the m-multisets of its rows, the last run varying fastest.
-    A class hashes to H, the wrapping sum of its component ids u; the card
-    that switches slot s at v has H - u[s] + u[card], so sig0 sums the
-    mixed hashes of all of them and own_mix is the mixed H.  has_own marks
-    the classes with a card equal to their own slot's row.
+    classes is generate._shape_rows(shape): one row per class, the row of
+    each slot's component among its part's orbit minima.  A class hashes to
+    H, the wrapping sum of its component ids u; the card that switches slot
+    s at v has H - u[s] + u[card], so sig0 sums the mixed hashes of all of
+    them and own_mix is the mixed H.  has_own marks the classes with a card
+    equal to their own slot's row.
     """
+    classes = generate._shape_rows(shape)
     runs = [(*_part_table(part), len(list(same))) for part, same in groupby(shape)]
-    classes = _np.zeros((1, 0), dtype=_np.intp)
-    for _, u, m in runs:
-        combos = _multisets(len(u), m)
-        classes = _np.hstack([_np.repeat(classes, len(combos), axis=0),
-                              _np.tile(combos, (len(classes), 1))])
     owns = _np.split(classes, _np.cumsum([m for _, _, m in runs[:-1]]), axis=1)
     h = _np.zeros(len(classes), dtype=_np.uint64)
     for own, (_, u, _) in zip(owns, runs):
@@ -411,29 +392,30 @@ def _shape_signed(shape):
     return classes, (_np.arange(len(classes)), sig0, _mix64(h), has_own)
 
 
-def _shape_members(shape, classes):
-    """(sorted cards, sorted comps, sorted comps) of each class row.
+def _shape_members(shape, slots, classes):
+    """(sorted cards, sorted comps, row) of each class row.
 
-    The multiset of component classes is a faithful class invariant of a
-    disjoint union, and each card only replaces one component by its
-    switched class, so a card is the sorted component classes with that one
-    swapped, read through the part's card(x, v).
+    A comp is one component class as (kind, k, orbit minimum).  The multiset
+    of comps is a faithful class invariant of a disjoint union, and each card
+    only replaces one component by its switched class, so a card is the
+    sorted comps with that one swapped, read through the part's card(x, v).
     """
-    slot_comps = [generate._part_comps(part) for part in shape]
+    space_of = {part: sp for part, (sp, _) in zip(shape, slots)}
     for row in classes.tolist():
-        key = tuple(sorted(comps[j] for comps, j in zip(slot_comps, row)))
+        key = tuple(sorted((kind, k, reps[j]) for (kind, k), (_, reps), j
+                           in zip(shape, slots, row)))
         cards: list[tuple] = []
         for i, (kind, k, x) in enumerate(key):
             if i and key[i - 1] == key[i]:
                 # removing either of two equal slots leaves the same rest
                 cards.extend(cards[-k:])
                 continue
-            sp = generate._part_space((kind, k))
+            sp = space_of[kind, k]
             rest = key[:i] + key[i + 1:]
             cards.extend(tuple(sorted(rest + ((kind, k, sp.card(x, v)),)))
                          for v in range(k))
         cards.sort()
-        yield cards, key, key
+        yield cards, key, row
 
 
 def _census_one_shape(shape, ts: Sequence[int]) -> tuple[list[Family], int]:
@@ -448,8 +430,10 @@ def _census_one_shape(shape, ts: Sequence[int]) -> tuple[list[Family], int]:
     for t in ts:
         cand = _candidates(lambda: [chunk], t, len(classes))
         if cand:
-            families.extend(_exact_families("maxdeg2", t, _shape_members(shape, classes[cand]),
-                                            generate._union))
+            slots = generate._shape_slots(shape)
+            families.extend(_exact_families(
+                "maxdeg2", t, _shape_members(shape, slots, classes[cand]),
+                lambda row: generate._union(slots, row)))
     return families, len(classes)
 
 

@@ -2,17 +2,20 @@
 
 Each generator lazily yields one labelled representative per isomorphism
 class, in a deterministic order.  Orientation classes of a fixed underlying
-shape come from orbit-minimal integers.  Tournaments and undirected graphs
-grow level by level, a vertex or an edge at a time: each level keeps the
-first child per canonical code, its parents taken in code order, and is
-sorted by code.  The child codes of the last tournament level also give
-each class's cards: TournamentSpace, where orientation_space sends K_n.
+shape come from orbit-minimal integers.  A max-degree-2 class is a row of
+_shape_rows, its components' indices among their parts' orbit minima: the
+one enumeration of a shape's classes, which the census signs too.
+Tournaments and undirected graphs grow level by level, a vertex or an edge
+at a time: each level keeps the first child per canonical code, its parents
+taken in code order, and is sorted by code.  The child codes of the last
+tournament level also give each class's cards: TournamentSpace, where
+orientation_space sends K_n.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, groupby, product
+from itertools import combinations_with_replacement, groupby
 from typing import Callable, Iterable, Iterator
 
 import numpy as _np
@@ -140,38 +143,46 @@ def _part_space(part: Part):
     return spaces.PathSpace(k) if kind == "p" else spaces.CycleSpace(k)
 
 
-# one orientation class of a part, as (kind, k, orbit-minimal integer)
-Comp = tuple[str, int, int]
+@lru_cache(maxsize=256)
+def _multisets(r: int, m: int):
+    """The m-multisets of range(r) as rows, in combinations_with_replacement
+    order."""
+    return _np.array(list(combinations_with_replacement(range(r), m)),
+                     dtype=_np.intp).reshape(-1, m)
 
 
-@lru_cache(maxsize=64)
-def _part_comps(part: Part) -> tuple[Comp, ...]:
-    kind, k = part
-    return tuple((kind, k, x) for x in spaces.tabulated_reps(_part_space(part)))
-
-
-def _shape_classes(shape: tuple[Part, ...]) -> Iterator[tuple[Comp, ...]]:
-    """Each orientation class of a shape as its component classes.
+def _shape_rows(shape: tuple[Part, ...]):
+    """One row per orientation class of a shape: the index of each slot's
+    component among its part's orbit minima.
 
     Two disjoint unions are isomorphic exactly when their component class
-    multisets agree, so combinations with replacement of each run of equal
-    parts hit every class once.
+    multisets agree, so each run of m equal parts takes the m-multisets of
+    its indices, the last run varying fastest, and every class comes once.
     """
-    runs = [combinations_with_replacement(_part_comps(part), len(list(same)))
-            for part, same in groupby(shape)]
-    for choice in product(*runs):
-        yield tuple(chain.from_iterable(choice))
+    rows = _np.zeros((1, 0), dtype=_np.intp)
+    for part, same in groupby(shape):
+        combos = _multisets(len(spaces.tabulated_reps(_part_space(part))), len(list(same)))
+        rows = _np.hstack([_np.repeat(rows, len(combos), axis=0),
+                           _np.tile(combos, (len(rows), 1))])
+    return rows
 
 
-def _union(comps: Iterable[Comp]) -> Digraph:
-    return disjoint_union(*[_part_space((kind, k)).digraph(x) for kind, k, x in comps])
+def _shape_slots(shape: tuple[Part, ...]):
+    """(space, orbit minima) of each slot of a shape."""
+    return [(sp, spaces.tabulated_reps(sp)) for sp in map(_part_space, shape)]
+
+
+def _union(slots, row: Iterable[int]) -> Digraph:
+    """The class a row of _shape_rows names, over its shape's _shape_slots."""
+    return disjoint_union(*[sp.digraph(reps[j]) for (sp, reps), j in zip(slots, row)])
 
 
 def gen_oriented_maxdeg2(n: int) -> Iterator[Digraph]:
     """One representative per orientation class over all max-degree-2 shapes."""
     for shape in maxdeg2_shapes(n):
-        for comps in _shape_classes(shape):
-            yield _union(comps)
+        slots = _shape_slots(shape)
+        for row in _shape_rows(shape).tolist():
+            yield _union(slots, row)
 
 
 def _next_level(level: list[Digraph], children: Callable[[Digraph], Iterable[Digraph]]):
@@ -283,7 +294,6 @@ class TournamentSpace:
 
     domain_chunk = spaces.index_chunk
     orbit_min_array = spaces.group_min
-    rep_chunks = spaces.scan_reps
     reps_array = spaces.concat_reps
 
     def switched_array(self, xs, v):

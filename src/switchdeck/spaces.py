@@ -25,8 +25,8 @@ share one protocol, whose class arithmetic all runs on uint64 arrays:
 - switched_array(xs, v): each string with vertex v switched, from a uint64
   flips table built once per space, so v may be an int or an integer array
   that broadcasts against xs;
-- rep_chunks(chunk) and reps_array(): the orbit minima, ascending;
-  rep_chunks is scan_reps, the one shrinking scan over the actions;
+- reps_array(): the orbit minima, ascending; scan_reps, the one shrinking
+  scan over the actions, yields them in chunks;
 - count(): the class count, without a scan; digraph(x): one string's digraph.
 
 card_table is the one card kernel over that protocol: the class ids of all n
@@ -82,7 +82,7 @@ def group_min(space, xs):
 
 def concat_reps(space):
     """Orbit minima as an ascending uint64 array."""
-    return _np.concatenate(list(space.rep_chunks()))
+    return _np.concatenate(list(scan_reps(space)))
 
 
 def index_chunk(space, start: int, stop: int):
@@ -188,7 +188,6 @@ class PathSpace:
     def switched_array(self, xs, v):
         return xs ^ self.flips[v]
 
-    rep_chunks = scan_reps
     reps_array = concat_reps
     card = card_of
 
@@ -287,7 +286,6 @@ class CycleSpace:
             return xs ^ self.flips[v]
         return xs ^ (self.flips[v] & ~(xs >> _np.uint64(1)))
 
-    rep_chunks = scan_reps
     reps_array = concat_reps
     card = card_of
 

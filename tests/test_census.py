@@ -426,7 +426,7 @@ def test_digon_cycle_domain_is_letter_0_then_the_index_digits_then_all_digons():
 def test_the_all_digon_string_is_alone_in_the_last_chunk():
     for n in range(3, 9):
         space = CycleSpace(n, digons=True)
-        chunks = list(space.rep_chunks(3 ** (n - 1)))
+        chunks = list(spaces.scan_reps(space, 3 ** (n - 1)))
         assert len(chunks) == 2
         assert chunks[-1].tolist() == [space.from_letters((2,) * n)]
         assert np.concatenate(chunks).tolist() == space.reps_array().tolist()

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from switchdeck import census, cli, generate
 from switchdeck.canon import canonical_code
 from switchdeck.census import run_census
-from switchdeck.digraph import Digraph, is_connected, underlying
+from switchdeck.digraph import Digraph, format_digraph6, is_connected, underlying
 from switchdeck.errors import HeavyFlagRequired, OutOfRange
 from switchdeck.generate import (
     CLASS_BOUNDS,
@@ -80,6 +82,19 @@ def test_maxdeg2_generator_counts(n):
     for g in graphs:
         u = underlying(g)
         assert all(bin(m).count("1") <= 2 for m in u.adj)
+
+
+# sha256 of the `gen maxdeg2 n` lines for n = 1..10, 3,924 classes: pins
+# the order as well as the set, which the counts above leave free
+MAXDEG2_LINES_SHA256 = "b24a410b66a398d5848d78d50e1ead7ebcf23ff9042b4e168e8684b0de31a40e"
+
+
+def test_maxdeg2_generator_order_matches_the_pinned_digest():
+    digest = hashlib.sha256()
+    for n in range(1, 11):
+        for g in gen_oriented_maxdeg2(n):
+            digest.update(format_digraph6(g).encode() + b"\n")
+    assert digest.hexdigest() == MAXDEG2_LINES_SHA256
 
 
 @pytest.mark.parametrize("n", range(1, 7))
