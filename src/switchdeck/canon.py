@@ -15,16 +15,17 @@ in the place and sorted order a recount against every cell gives: the
 refinement-compatible orders, the least leaf and so every code stay those
 of the full recount (see _stable_partition).
 
-One search (_search) gives codes and automorphisms, after the same paper.
-A leaf with the first leaf's rows gives the automorphism first[i] -> leaf[i],
-which fixes the path the two leaves share (splits keep leaf positions) and
-maps the first path's next vertex to the other's.  A node skips each later
-child in the orbit of its explored children under the automorphisms found
-that fix its path.  Such a subtree is the image of an explored, earlier one,
-so the least rows, the first leaf giving them and a leaf with the first
-leaf's rows still turn up.  So the automorphisms found that fix the first k
-path vertices reach the orbit of the next one under their stabiliser, and
-one element per orbit point and level, multiplied, lists the group once.
+One cached search per graph (_canonical_search over _search) gives codes,
+groups and the undirected generator's pruning, after the same paper.  A leaf
+with the first leaf's rows gives the automorphism first[i] -> leaf[i], which
+fixes the path the two leaves share (splits keep leaf positions) and maps
+the first path's next vertex to the other's.  A node skips each later child
+in the orbit of its explored children under the automorphisms found that
+fix its path.  Such a subtree is the image of an explored, earlier one, so
+the least rows, the first leaf giving them and a leaf with the first leaf's
+rows still turn up.  So the automorphisms found that fix the first k path
+vertices reach the orbit of the next one under their stabiliser, and one
+element per orbit point and level, multiplied, lists the group once.
 """
 
 from __future__ import annotations
@@ -202,8 +203,9 @@ def _search(n, out, inn):
 
 @lru_cache(maxsize=1 << 17)
 def _canonical_search(g: Digraph):
-    """Least adjacency rows over refinement-compatible orders, and one order
-    achieving them (position i holds original vertex order[i]).
+    """Least adjacency rows over refinement-compatible orders, one order
+    achieving them (position i holds original vertex order[i]), and _search's
+    automorphisms: (generators, first path), () if none, None if split.
 
     Disjoint unions are canonicalized per component and concatenated in
     sorted component order; this keeps the search tree small when many
@@ -211,8 +213,6 @@ def _canonical_search(g: Digraph):
     component split and its copy.
     """
     n = g.n
-    if n == 0:
-        return (), ()
     out = g.out
     inn = in_masks(g)
     # one arc per pair and no digon: a tournament, and so connected
@@ -220,34 +220,27 @@ def _canonical_search(g: Digraph):
                   and not any(map(and_, out, inn)))
     if not tournament and len(_component_masks(n, [o | i for o, i in zip(out, inn)])) > 1:
         comp = components(g)
-        ranked = sorted(
-            range(len(comp.parts)),
-            key=lambda i: (comp.parts[i].n, canonical_code(comp.parts[i])),
-        )
         order: list[int] = []
-        for i in ranked:
-            verts = comp.blocks[i].members()
-            _, part_order = _canonical_search(comp.parts[i])
-            order.extend(verts[v] for v in part_order)
-        return tuple(_code_rows(n, out, order)), tuple(order)
+        for part, block in sorted(zip(comp.parts, comp.blocks),
+                                  key=lambda pb: (pb[0].n, canonical_code(pb[0]))):
+            verts = block.members()
+            order.extend(verts[v] for v in _canonical_search(part)[1])
+        return tuple(_code_rows(n, out, order)), tuple(order), None
     # out-counts alone refine a symmetric digraph, whose in-counts equal
     # them, and a tournament, whose in-count against a cell is the cell's
     # size less the out-count, less one inside the vertex's own cell
     if tournament or inn == out:
         inn = None
-    best, order, _, _ = _search(n, out, inn)
-    return tuple(best), tuple(order)
+    best, order, gens, path = _search(n, out, inn)
+    return tuple(best), tuple(order), ((tuple(map(tuple, gens)), tuple(path)) if gens else ())
 
 
 @lru_cache(maxsize=1 << 17)
 def canonical_code(g: Digraph) -> CanonicalCode:
     """Order-prefixed, lexicographically least adjacency bit-string."""
     n = g.n
-    if n == 0:
-        return bytes([0])
-    best, _ = _canonical_search(g)
     acc = 0
-    for row in best:
+    for row in _canonical_search(g)[0]:
         acc = acc << n | row
     size = (n * n + 7) >> 3
     return bytes([n]) + (acc << (size * 8 - n * n)).to_bytes(size, "big")
@@ -271,9 +264,8 @@ def canonical_form(g: Digraph) -> Digraph:
 
 def canonical_perm(g: Digraph) -> Permutation:
     """A relabelling v -> position that carries g onto its canonical form."""
-    _, order = _canonical_search(g)
     pos = [0] * g.n
-    for i, v in enumerate(order):
+    for i, v in enumerate(_canonical_search(g)[1]):
         pos[v] = i
     return Permutation(tuple(pos))
 
@@ -284,6 +276,15 @@ def is_isomorphic(g: Digraph, h: Digraph) -> bool:
     return canonical_code(g) == canonical_code(h)
 
 
+def _generators(u: UnderlyingGraph):
+    """Generators of Aut(u) and the path of the search that found them: the
+    canonical search of u's symmetric digraph, or _search's where that split u."""
+    found = _canonical_search(Digraph(u.n, u.adj))[2]
+    if found is None:
+        return _search(u.n, u.adj, None)[2:]
+    return found or ((), ())
+
+
 @lru_cache(maxsize=1 << 14)
 def aut_group_undirected(u: UnderlyingGraph) -> AutGroup:
     """Every automorphism of an undirected graph on at most 16 vertices,
@@ -292,7 +293,7 @@ def aut_group_undirected(u: UnderlyingGraph) -> AutGroup:
     if u.n > AUT_MAX_N:
         raise OutOfRange(f"order {u.n} exceeds automorphism cap {AUT_MAX_N}")
     n = u.n
-    _, _, gens, path = _search(n, u.adj, None)
+    gens, path = _generators(u)
     elements = [tuple(range(n))]
     for k, base in enumerate(path):
         fixing = [g for g in gens if all(g[p] == p for p in path[:k])]
@@ -316,13 +317,12 @@ def edge_list(u: UnderlyingGraph) -> list[tuple[int, int]]:
 class Action(NamedTuple):
     """One non-identity automorphism acting on orientation integers.
 
-    Output bit dstpos[j] takes input bit srcpos[j], then the bits in flip
-    (edges mapped against their stored direction) are inverted.  tables[k][b]
-    is the image of input byte k holding b, with flip folded into tables[0].
+    Output bit m-1-j takes input bit srcpos[j], then the bits in flip (edges
+    mapped against their stored direction) are inverted.  tables[k][b] is
+    the image of input byte k holding b, with flip folded into tables[0].
     """
 
     srcpos: tuple[int, ...]
-    dstpos: tuple[int, ...]
     flip: int
     tables: _np.ndarray
 
@@ -342,7 +342,6 @@ class OrientationSpace:
         self.m = m = len(self.edges)
         self.aut = aut_group_undirected(u)
         index = {e: i for i, e in enumerate(self.edges)}
-        dstpos = tuple(m - 1 - j for j in range(m))
         perms = []
         for p in self.aut.elements[1:]:  # the identity comes first
             img = p.image
@@ -360,15 +359,15 @@ class OrientationSpace:
         nbytes = max(1, -(-m // 8))
         src = _np.array([srcpos for srcpos, _ in perms], dtype=_np.intp).reshape(len(perms), m)
         bit_image = _np.zeros((len(perms), 8 * nbytes), dtype=_np.uint64)
-        dstbit = _np.uint64(1) << _np.array(dstpos, dtype=_np.uint64)
-        bit_image[_np.arange(len(perms))[:, None], src] = dstbit
+        bit_image[_np.arange(len(perms))[:, None], src] = \
+            _np.uint64(1) << _np.arange(m - 1, -1, -1, dtype=_np.uint64)
         bit_image = bit_image.reshape(len(perms), nbytes, 8)
         tables = _np.zeros((len(perms), nbytes, 256), dtype=_np.uint64)
         for t in range(8):
             h = 1 << t
             _np.bitwise_xor(tables[:, :, :h], bit_image[:, :, t, None], out=tables[:, :, h:2 * h])
         tables[:, 0, :] ^= _np.array([flip for _, flip in perms], dtype=_np.uint64)[:, None]
-        self.actions = [Action(srcpos, dstpos, flip, tables[a])
+        self.actions = [Action(srcpos, flip, tables[a])
                         for a, (srcpos, flip) in enumerate(perms)]
         self.vertex_images = _np.array([p.image for p in self.aut.elements[1:]],
                                        dtype=_np.intp).reshape(-1, self.n)
@@ -407,7 +406,6 @@ class OrientationSpace:
         """
         fixed = 1 << self.m
         for action in self.actions:
-            succ = dict(zip(action.srcpos, action.dstpos))
             seen = 0
             cycles = 0
             for start in range(self.m):
@@ -419,7 +417,7 @@ class OrientationSpace:
                 while not seen >> pos & 1:
                     seen |= 1 << pos
                     parity ^= action.flip >> pos & 1
-                    pos = succ[pos]
+                    pos = action.srcpos[self.m - 1 - pos]  # the bit moved to pos
                 if parity:
                     break
             else:

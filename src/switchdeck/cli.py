@@ -15,7 +15,7 @@ import argparse
 import re
 import sys
 
-from . import catalog, census, decks, generate, spaces
+from . import catalog, census, decks, generate
 from .census import CENSUS_UNITS, run_census
 from .cycles import CycleOrientation, Rotation, dist_set, find_W, verify_w_size_reconstruction
 from .digraph import Digraph, apply_perm, format_digraph6, parse_digraph6
@@ -71,9 +71,8 @@ _GEN = {
 
 # class -> n -> its class count, for the classes counted without enumerating
 _COUNT = {
-    "paths": lambda n: spaces.PathSpace(n).count(),
-    "cycles": lambda n: spaces.CycleSpace(n).count(),
-    "digon-cycles": lambda n: spaces.CycleSpace(n, digons=True).count(),
+    **{label: lambda n, space=census._SPACES[label]: space(n).count()
+       for label in ("paths", "cycles", "digon-cycles")},
     "maxdeg2": census._maxdeg2_class_count,
 }
 

@@ -67,14 +67,11 @@ class Permutation:
 
     image: tuple[int, ...]
 
-    def __call__(self, v: int) -> int:
-        return self.image[v]
-
     def __len__(self) -> int:
         return len(self.image)
 
     def compose(self, other: "Permutation") -> "Permutation":
-        """Left-to-right composition: (self.compose(other))(v) = other(self(v))."""
+        """Left-to-right composition: v goes to other.image[self.image[v]]."""
         return Permutation(tuple(other.image[w] for w in self.image))
 
 

@@ -15,7 +15,7 @@ orientation_space sends K_n.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations, combinations_with_replacement, groupby
 from typing import Callable, Iterable, Iterator
 
 import numpy as _np
@@ -66,11 +66,14 @@ def check_orders(label: str, lo: int, hi: int, heavy: bool = False,
         )
 
 
+def _classes(space) -> Iterator[Digraph]:
+    """The digraph of each of a space's orbit minima, in integer order."""
+    yield from map(space.digraph, space.reps_array().tolist())
+
+
 def gen_oriented_paths(n: int) -> Iterator[Digraph]:
     """One representative per orientation class of the n-vertex path."""
-    space = spaces.PathSpace(n)
-    for x in space.reps_array().tolist():
-        yield space.digraph(x)
+    yield from _classes(spaces.PathSpace(n))
 
 
 def gen_oriented_cycles(n: int, digons: bool = False) -> Iterator[Digraph]:
@@ -78,9 +81,7 @@ def gen_oriented_cycles(n: int, digons: bool = False) -> Iterator[Digraph]:
 
     With digons=True each edge may also carry arcs both ways.
     """
-    space = spaces.CycleSpace(n, digons=digons)
-    for x in space.reps_array().tolist():
-        yield space.digraph(x)
+    yield from _classes(spaces.CycleSpace(n, digons=digons))
 
 
 # A max-degree-2 shape is a multiset of components: paths on k >= 1 vertices
@@ -307,23 +308,30 @@ class TournamentSpace:
 
 
 def _edge_children(g: Digraph) -> Iterator[Digraph]:
-    """g plus one edge, one child per automorphism orbit of non-edges.
+    """g, the symmetric digraph of an undirected graph, plus one edge: the
+    lex-first non-edge of each orbit under the generators canon found.
 
-    g is the symmetric digraph of an undirected graph (every edge a digon).
+    Pruning by any subgroup H of Aut(g) gives the output of no pruning: h in
+    H carries g + e onto g + h(e), so the non-edges giving code c are a union
+    of H-orbits, parent i's first one is the lex-first of its orbit, and
+    _next_level keeps the first child of the first parent per code.
     """
     n = g.n
-    aut = canon.aut_group_undirected(UnderlyingGraph(n, g.out))
+    gens, _ = canon._generators(UnderlyingGraph(n, g.out))
     tried: set[tuple[int, int]] = set()
-    for a in range(n):
-        for b in range(a + 1, n):
-            if g.out[a] >> b & 1 or (a, b) in tried:
-                continue
-            for p in aut:
-                tried.add(tuple(sorted((p(a), p(b)))))
-            out = list(g.out)
-            out[a] |= 1 << b
-            out[b] |= 1 << a
-            yield Digraph(n, tuple(out))
+    for a, b in combinations(range(n), 2):
+        if g.out[a] >> b & 1 or (a, b) in tried:
+            continue
+        tried.add((a, b))
+        todo = [(a, b)]
+        for x, y in todo:
+            images = {(min(p[x], p[y]), max(p[x], p[y])) for p in gens} - tried
+            tried |= images
+            todo.extend(images)
+        out = list(g.out)
+        out[a] |= 1 << b
+        out[b] |= 1 << a
+        yield Digraph(n, tuple(out))
 
 
 def gen_underlying_graphs(n: int) -> Iterator[UnderlyingGraph]:
@@ -353,6 +361,4 @@ def orientation_space(u: UnderlyingGraph):
 def gen_all_oriented(n: int) -> Iterator[Digraph]:
     """One representative per orientation class over every underlying graph."""
     for u in gen_underlying_graphs(n):
-        space = canon.OrientationSpace(u)
-        for x in space.reps_array().tolist():
-            yield space.digraph(x)
+        yield from _classes(canon.OrientationSpace(u))

@@ -10,6 +10,8 @@ from switchdeck import census, cli
 from switchdeck.digraph import parse_digraph6
 from switchdeck.report import SearchReport
 
+from ._oracles import CYCLES, DIGON_CYCLES, GRAPHS, PATHS
+
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
     rc = cli.main(list(argv))
@@ -31,6 +33,22 @@ def test_gen_count_flag(capsys):
     assert rc == cli.EXIT_OK and out.strip() == "430"
     rc, out, _ = run(capsys, "gen", "tournaments", "6", "--count")
     assert rc == cli.EXIT_OK and out.strip() == "56"
+
+
+@pytest.mark.parametrize("label, counts", [
+    ("paths", PATHS), ("cycles", CYCLES), ("digon-cycles", DIGON_CYCLES), ("underlying", GRAPHS),
+])
+def test_gen_count_matches_the_streamed_lines_and_the_known_counts(capsys, label, counts):
+    """--count, from the space's Burnside count or by enumeration, against
+    the number of distinct lines gen streams, for every order up to 7."""
+    for n in (n for n in counts if n <= 7):
+        rc, out, _ = run(capsys, "gen", label, str(n))
+        assert rc == cli.EXIT_OK
+        lines = out.splitlines()
+        assert len(set(lines)) == len(lines) == counts[n]
+        assert all(parse_digraph6(line).n == n for line in lines)
+        rc, out, _ = run(capsys, "gen", label, str(n), "--count")
+        assert rc == cli.EXIT_OK and out == f"{counts[n]}\n"
 
 
 def test_gen_bounds_and_heavy_gate(capsys):

@@ -6,7 +6,7 @@ import hashlib
 
 import pytest
 
-from switchdeck import census, cli, generate
+from switchdeck import canon, census, cli, generate
 from switchdeck.canon import canonical_code
 from switchdeck.census import run_census
 from switchdeck.digraph import Digraph, format_digraph6, is_connected, underlying
@@ -135,6 +135,27 @@ def test_underlying_generator_counts(n):
     assert keys == sorted(keys)
     assert sum(1 for u in us if is_connected(u)) == \
         _oracles.count_connected_graphs(n)
+
+
+# sha256 of the `gen underlying n` lines for n = 1..7, 1,252 classes, pinned
+# while the generator still pruned by the whole automorphism group
+UNDERLYING_LINES_SHA256 = "b9363f22528e831dc037a0754b294d73df986da2a6ee49dc021b3cec19115086"
+
+
+def _underlying_lines_digest() -> str:
+    digest = hashlib.sha256()
+    for n in range(1, 8):
+        for u in gen_underlying_graphs(n):
+            digest.update(format_digraph6(Digraph(n, u.adj)).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_underlying_generator_order_matches_the_pinned_digest(monkeypatch):
+    """Pruning by the generators the canonical search found, and pruning by
+    none of them, give the pinned lines (see generate._edge_children)."""
+    assert _underlying_lines_digest() == UNDERLYING_LINES_SHA256
+    monkeypatch.setattr(canon, "_generators", lambda u: ((), ()))
+    assert _underlying_lines_digest() == UNDERLYING_LINES_SHA256
 
 
 @pytest.mark.parametrize("n", range(1, 7))
