@@ -72,7 +72,6 @@ from .generate import (
     gen_oriented_paths,
     gen_tournaments,
     gen_underlying_graphs,
-    gen_underlying_maxdeg2,
     maxdeg2_shapes,
 )
 from .report import Family, SearchReport, make_family, merge_reports
@@ -103,8 +102,7 @@ __all__ = [
     "format_deck", "format_digraph6", "from_arcs", "gamma_group",
     "gen_all_oriented", "gen_oriented_cycles", "gen_oriented_maxdeg2",
     "gen_oriented_paths", "gen_tournaments", "gen_underlying_graphs",
-    "gen_underlying_maxdeg2", "group_by_deck", "induced", "is_connected",
-    "is_isomorphic",
+    "group_by_deck", "induced", "is_connected", "is_isomorphic",
     "is_switching_stable", "is_switching_stable_set", "is_weakly_connected",
     "make_family", "matching_t", "maxdeg2_shapes", "merge_reports",
     "parse_digraph6", "possible_components", "run_census",

@@ -136,10 +136,6 @@ def family(key: str) -> CorpusFamily:
     return _BY_KEY[key]
 
 
-def families_in_class(class_label: str) -> list[CorpusFamily]:
-    return [f for f in FAMILIES if f.class_label == class_label]
-
-
 def _check_group(name: str, keys: tuple[str, ...]) -> tuple[bool, str]:
     if name == "stable-connected":
         codes = {canon.canonical_code(g) for g in STABLE_CONNECTED}

@@ -94,34 +94,27 @@ def switching_adjacent(a: Digraph, b: Digraph) -> bool:
     return any(canon.canonical_code(switch_vertex(a, v)) == target for v in range(a.n))
 
 
-def _same_deck_components(g: Digraph, universe: Iterable[Digraph],
-                          universe_closed: bool) -> list[set[bytes]]:
+def _same_deck_components(g: Digraph, universe: Iterable[Digraph]) -> list[set[bytes]]:
     """The component classes of g and of each universe member sharing its
-    deck, g's first.
-
-    The universe must contain every graph with g's deck for the answer to
-    mean anything, which the caller asserts via universe_closed.
-    """
-    if not universe_closed:
-        raise HypothesisUnmet(
-            "pass universe_closed=True only when the universe holds every "
-            "graph sharing the deck"
-        )
+    deck, g's first."""
     own = decks.deck(g)
     return [{canon.canonical_code(p) for p in components(h).parts}
             for h in chain((g,), universe) if h.n == g.n and decks.deck(h) == own]
 
 
-def possible_components(g: Digraph, universe: Iterable[Digraph],
-                        universe_closed: bool = False) -> list[bytes]:
-    """Component classes over every universe member sharing g's deck."""
-    return sorted(set().union(*_same_deck_components(g, universe, universe_closed)))
+def possible_components(g: Digraph, universe: Iterable[Digraph]) -> list[bytes]:
+    """Component classes over every universe member sharing g's deck.
+
+    The answer means something only when the universe holds every graph
+    with g's deck; that closure is the caller's hypothesis.
+    """
+    return sorted(set().union(*_same_deck_components(g, universe)))
 
 
-def definite_components(g: Digraph, universe: Iterable[Digraph],
-                        universe_closed: bool = False) -> list[bytes]:
-    """Component classes present in every universe member sharing g's deck."""
-    return sorted(set.intersection(*_same_deck_components(g, universe, universe_closed)))
+def definite_components(g: Digraph, universe: Iterable[Digraph]) -> list[bytes]:
+    """Component classes present in every universe member sharing g's deck,
+    under possible_components' closure hypothesis."""
+    return sorted(set.intersection(*_same_deck_components(g, universe)))
 
 
 def strip_stable_components(g: Digraph) -> tuple[Digraph, int]:
@@ -179,11 +172,9 @@ def verify_disconnected_dichotomy(g: Digraph, h: Digraph,
     if len(gres) == 1 and len(hres) == 1:
         t = g.n - gres[0].n
         if t == h.n - hres[0].n:
-            try:
-                if decks.t_deck(gres[0], t) == decks.t_deck(hres[0], t):
-                    return {"option": 2, "t": t}
-            except CardAbsent:
-                pass
+            # t >= 0 here, and only t = -1 can lack a card
+            if decks.t_deck(gres[0], t) == decks.t_deck(hres[0], t):
+                return {"option": 2, "t": t}
     if len(gp) == 2 and len(hp) == 2:
         pool = list(possible) if possible is not None else [*gp, *hp]
         by_code = {canon.canonical_code(p): p for p in pool}
@@ -212,17 +203,15 @@ def _resolve_ts(t_range, n: int) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _adjusted_key(cards: list, own, t: int) -> tuple | None:
-    """The sorted cards of a t-deck: one copy of own removed at t = -1 (None
-    when the deck holds none), t copies added above 0."""
+def _adjusted_key(cards: list, own, t: int) -> tuple:
+    """The sorted cards of a t-deck: one copy of own removed at t = -1, t
+    copies added above 0.  At t = -1, _keyed passes only members whose deck
+    holds their own class."""
     if t == 0:
         return tuple(cards)
     key = list(cards)
     if t == -1:
-        try:
-            key.remove(own)
-        except ValueError:
-            return None
+        key.remove(own)
         return tuple(key)
     key.extend([own] * t)
     key.sort()
@@ -237,9 +226,7 @@ def _exact_families(label: str, t: int, members, digraph) -> list[Family]:
     """
     buckets: dict[tuple, list] = {}
     for cards, own, member in members:
-        key = _adjusted_key(cards, own, t)
-        if key is not None:
-            buckets.setdefault(key, []).append(member)
+        buckets.setdefault(_adjusted_key(cards, own, t), []).append(member)
     return [make_family(label, t, [digraph(m) for m in ms])
             for _, ms in sorted(buckets.items()) if len(ms) >= 2]
 

@@ -1,8 +1,8 @@
 """Cycle orientations as letter strings, with W-set analysis on top.
 
 A cycle orientation is a letter string over the edges (i, i+1 mod n):
-0 = forward arc, 1 = backward arc, 2 = arcs both ways.  CycleOrientation is
-the codec between letters, packed CycleSpace strings and digraphs.  The
+0 = forward arc, 1 = backward arc, 2 = arcs both ways.  CycleOrientation
+reads letters and gives their packed CycleSpace string and digraph.  The
 switching sets of a rotation gamma, every W with G_W = G^gamma, come from
 stability.switch_solutions on the cycle's digraph; the distinguished w_set
 is the solution with fewer than n/2 vertices when that solution is unique.
@@ -15,7 +15,7 @@ from itertools import islice
 from math import gcd
 
 from . import spaces
-from .digraph import Digraph, Permutation, VertexSet, underlying
+from .digraph import Digraph, Permutation, VertexSet
 from .errors import HypothesisUnmet, OutOfRange
 from .stability import switch_solutions
 from .switching import switch_vertex
@@ -55,34 +55,6 @@ class CycleOrientation:
     def to_digraph(self) -> Digraph:
         space = spaces.CycleSpace(self.n, digons=True)
         return space.digraph(space.from_letters(self.dirs))
-
-    @classmethod
-    def from_digraph(cls, g: Digraph) -> tuple["CycleOrientation", list[int]]:
-        """Read a cycle layout off a digraph whose underlying graph is a cycle.
-
-        Returns the orientation and the vertex order used, so position i of
-        the string corresponds to original vertex order[i].
-        """
-        n = g.n
-        u = underlying(g)
-        if n < 3 or any(u.degree(v) != 2 for v in range(n)):
-            raise HypothesisUnmet("underlying graph is not a single cycle")
-        order = [0]
-        prev = -1
-        cur = 0
-        for _ in range(n - 1):
-            nbrs = [w for w in range(n) if u.adj[cur] >> w & 1 and w != prev]
-            nxt = min(nbrs) if len(order) == 1 else nbrs[0]
-            order.append(nxt)
-            prev, cur = cur, nxt
-        if sorted(order) != list(range(n)):
-            raise HypothesisUnmet("underlying graph is not a single cycle")
-        dirs = []
-        for i in range(n):
-            a, b = order[i], order[(i + 1) % n]
-            fwd, bwd = g.has_arc(a, b), g.has_arc(b, a)
-            dirs.append(DIGON if fwd and bwd else (FORWARD if fwd else BACKWARD))
-        return cls(n, tuple(dirs)), order
 
 
 @dataclass(frozen=True, slots=True)

@@ -202,8 +202,6 @@ def is_weakly_connected(g: Digraph) -> bool:
 
 
 def is_connected(u: UnderlyingGraph) -> bool:
-    if u.n == 0:
-        return False
     return len(_component_masks(u.n, u.adj)) == 1
 
 

@@ -122,8 +122,8 @@ class SearchReport:
             out["shard"] = list(self.shard)
         return out
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def check_ranges(self):
         """Raise HypothesisUnmet on what no census run writes: an inverted n

@@ -19,6 +19,7 @@ from .digraph import (
     Permutation,
     VertexSet,
     apply_perm,
+    is_connected,
     is_weakly_connected,
     underlying,
 )
@@ -60,7 +61,7 @@ def classify_stable_connected(n: int) -> list[Digraph]:
     generate.check_orders("stable", n, n, heavy=True)
     found: list[Digraph] = []
     for u in generate.gen_underlying_graphs(n):
-        if not is_weakly_connected(Digraph(u.n, u.adj)):
+        if not is_connected(u):
             continue
         aut = canon.aut_group_undirected(u)
         if n >= 2 and aut.order == 1:
@@ -110,7 +111,7 @@ def check_stable_set_bound(graphs: Sequence[Digraph]) -> dict:
     if len(ucodes) != 1:
         raise HypothesisUnmet("members must orient one underlying graph")
     u = underlying(members[0])
-    if not is_weakly_connected(Digraph(n, u.adj)):
+    if not is_connected(u):
         raise HypothesisUnmet("the underlying graph must be connected")
     if not all(g.is_oriented() for g in members):
         raise HypothesisUnmet("members must be oriented")
@@ -251,7 +252,7 @@ def verify_index_identity(n: int) -> dict:
     underlying_checked = 0
     classes_checked = 0
     for u in generate.gen_underlying_graphs(n):
-        if not is_weakly_connected(Digraph(u.n, u.adj)):
+        if not is_connected(u):
             continue
         aut = canon.aut_group_undirected(u)
         space = OrientationSpace(u)

@@ -2,24 +2,19 @@
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .digraph import Digraph, VertexSet, in_masks
 from .errors import OutOfRange
 
 
-def switch_set(g: Digraph, w: VertexSet | Iterable[int]) -> Digraph:
+def switch_set(g: Digraph, w: VertexSet) -> Digraph:
     """Reverse all arcs with exactly one endpoint in w.
 
     Digons map to digons, so the underlying graph is unchanged.
     Switching on w and on its complement give the same digraph.
     """
-    if isinstance(w, VertexSet):
-        bits = w.bits
-        if w.n != g.n:
-            raise OutOfRange(f"set on {w.n} vertices applied to order {g.n}")
-    else:
-        bits = VertexSet.from_members(g.n, w).bits
+    if w.n != g.n:
+        raise OutOfRange(f"set on {w.n} vertices applied to order {g.n}")
+    bits = w.bits
     full = (1 << g.n) - 1
     inn = in_masks(g)
     out = []

@@ -29,6 +29,7 @@ from switchdeck.digraph import (
     in_masks,
     underlying,
 )
+from switchdeck.errors import OutOfRange
 from switchdeck.generate import gen_all_oriented, gen_tournaments, gen_underlying_graphs
 from switchdeck.switching import switch_vertex
 
@@ -124,6 +125,8 @@ def test_aut_group_orders_on_known_graphs():
     assert aut_group_undirected(path4).order == 2
     assert aut_group_undirected(cycle4).order == 8
     assert aut_group_undirected(complete4).order == 24
+    with pytest.raises(OutOfRange, match="order 17 exceeds automorphism cap 16"):
+        aut_group_undirected(UnderlyingGraph(17, (0,) * 17))
 
 
 def _adj(n, edges):

@@ -18,7 +18,7 @@ def test_corpus_inventory():
     by_label = {"paths": 3, "cycles": 13, "maxdeg2": 2,
                 "tournaments": 1, "digon-cycles": 1}
     for label, want in by_label.items():
-        assert len(catalog.families_in_class(label)) == want
+        assert len([f for f in catalog.FAMILIES if f.class_label == label]) == want
 
 
 def test_family_lookup():
@@ -65,7 +65,7 @@ def test_verify_corpus_reports_a_group_that_fails_its_checks(monkeypatch):
 
 
 def test_expected_families_match_figures():
-    fams = [f.as_family() for f in catalog.families_in_class("cycles")]
+    fams = [f.as_family() for f in catalog.FAMILIES if f.class_label == "cycles"]
     assert len(fams) == 13
     assert sorted({f.t for f in fams}) == [-1, 0, 1, 2]
-    assert {f.as_family().n for f in catalog.families_in_class("maxdeg2")} == {8}
+    assert {f.as_family().n for f in catalog.FAMILIES if f.class_label == "maxdeg2"} == {8}

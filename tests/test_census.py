@@ -98,6 +98,8 @@ def test_group_by_deck_skips_deckless_graphs_at_negative_t():
 def test_group_by_deck_rejects_t_below_minus_one():
     with pytest.raises(OutOfRange):
         group_by_deck(gen_oriented_paths(4), -2)
+    with pytest.raises(OutOfRange, match="t must be at least -1, got -2"):
+        run_census("cycles", (3, 5), (-2, 0))
 
 
 def test_inverted_t_range_is_rejected_before_any_work(monkeypatch):
@@ -129,12 +131,8 @@ def test_possible_and_definite_components():
     member = next(g for g in universe
                   if len(components(g).parts) > 1
                   and sum(deck(h) == deck(g) for h in universe) >= 2)
-    with pytest.raises(HypothesisUnmet, match="universe_closed=True"):
-        possible_components(member, universe)
-    with pytest.raises(HypothesisUnmet, match="universe_closed=True"):
-        definite_components(member, universe)
-    poss = possible_components(member, universe, universe_closed=True)
-    defi = definite_components(member, universe, universe_closed=True)
+    poss = possible_components(member, universe)
+    defi = definite_components(member, universe)
     assert set(defi) <= set(poss)
     sharers = [g for g in universe if deck(g) == deck(member)]
     assert len(sharers) >= 2
@@ -164,12 +162,16 @@ def test_verify_strip_residue_on_figure_families():
     assert not verify_strip_residue(bad)["holds"]
 
 
-def test_disconnected_dichotomy_option_one():
+def test_disconnected_dichotomy_option_one(monkeypatch):
     g, h = catalog.family("path-unions-8").members
     out = verify_disconnected_dichotomy(g, h)
     assert out["option"] == 1 and out["classes"] <= 4
-    g, h = catalog.family("cycle-unions-8").members
-    assert verify_disconnected_dichotomy(g, h)["option"] == 1
+    g2, h2 = catalog.family("cycle-unions-8").members
+    assert verify_disconnected_dichotomy(g2, h2)["option"] == 1
+    # with its parts unstable, the pair fits option 1 only through the stable set
+    monkeypatch.setattr(census, "is_switching_stable_set", lambda classes: False)
+    with pytest.raises(DichotomyViolated, match="fits neither"):
+        verify_disconnected_dichotomy(g, h)
 
 
 def test_disconnected_dichotomy_option_two():
@@ -216,7 +218,7 @@ def test_paths_census_full_t_sweep():
     assert report.counts == {n: PATHS[n] for n in range(1, 9)}
     got = family_keyset(report)
     want = {(f.n, f.t, tuple(f.as_family().strings()))
-            for f in catalog.families_in_class("paths")}
+            for f in catalog.FAMILIES if f.class_label == "paths"}
     want.add((5, -1, ("&D??QI?", "&D?I?W?")))
     assert got == want
 
@@ -226,7 +228,7 @@ def test_cycles_census_matches_figure_families():
     assert report.counts == {n: CYCLES[n] for n in range(3, 9)}
     got = family_keyset(report)
     want = {(f.n, f.t, tuple(f.as_family().strings()))
-            for f in catalog.families_in_class("cycles")}
+            for f in catalog.FAMILIES if f.class_label == "cycles"}
     assert got == want
 
 
@@ -473,6 +475,10 @@ def test_part_cards_are_the_least_string_of_the_switched_class():
             for v in range(space.n):
                 switched = switch_vertex(space.digraph(x), v)
                 assert space.card(x, v) == least[canonical_code(switched)]
+    space = PathSpace(5)
+    reps = space.reps_array().tolist()
+    with pytest.raises(HypothesisUnmet, match="is not an orbit minimum of PathSpace"):
+        space.card(next(x for x in range(max(reps)) if x not in reps), 0)
 
 
 def test_a_part_card_outside_its_orbit_minima_is_rejected(monkeypatch):

@@ -15,7 +15,7 @@ from switchdeck.cycles import (
     verify_w_size_reconstruction,
     w_set,
 )
-from switchdeck.digraph import VertexSet, apply_perm, from_arcs
+from switchdeck.digraph import VertexSet, apply_perm
 from switchdeck.errors import HypothesisUnmet, OutOfRange
 from switchdeck.spaces import CycleSpace
 from switchdeck.switching import switch_set
@@ -55,15 +55,6 @@ def test_letter_round_trip():
 def test_unknown_letter_is_named_with_the_alphabet():
     with pytest.raises(HypothesisUnmet, match="'X' is not one of F, B, D"):
         CycleOrientation.from_letters("FXB")
-
-
-def test_digraph_round_trip_recovers_class():
-    co = CycleOrientation.from_letters("FFBDF")
-    back, order = CycleOrientation.from_digraph(co.to_digraph())
-    assert sorted(order) == list(range(5))
-    assert class_int(back) == class_int(co)
-    with pytest.raises(HypothesisUnmet, match="not a single cycle"):
-        CycleOrientation.from_digraph(from_arcs(3, [(0, 1), (1, 2)]))
 
 
 def test_rotation_helpers():

@@ -53,6 +53,14 @@ def test_parse_rejects_garbage():
         parse_digraph6("&?")
     with pytest.raises(OutOfRange):
         parse_digraph6("&" + chr(MAX_N + 1 + 63))
+    with pytest.raises(HypothesisUnmet, match="bad order byte"):
+        parse_digraph6("&>")
+    with pytest.raises(HypothesisUnmet, match="bad payload byte '!'"):
+        parse_digraph6("&BP!")
+    # K1's one bit set is the arc 0 -> 0
+    with pytest.raises(HypothesisUnmet, match="loop bit at 0"):
+        parse_digraph6("&@_")
+    assert parse_digraph6(">>digraph6<<&BP_") == TRIANGLE
 
 
 @given(digraphs(max_n=7, oriented=False))
@@ -69,6 +77,9 @@ def test_from_arcs_validation():
         from_arcs(2, [(0, 1), (1, 0)], oriented=True)
     g = from_arcs(2, [(0, 1), (1, 0)], oriented=False)
     assert underlying(g).adj == (2, 1)
+    for n in (0, MAX_N + 1):
+        with pytest.raises(OutOfRange, match=f"order {n} outside 1..{MAX_N}"):
+            from_arcs(n, [])
 
 
 @given(graph_and_perm(max_n=6))
@@ -93,6 +104,10 @@ def test_components_order_and_relabel():
     decomp = components(g)
     assert [b.members() for b in decomp.blocks] == [(0, 1, 2), (3, 4), (5,)]
     assert decomp.parts == (TRIANGLE, ARC, K1)
+    with pytest.raises(OutOfRange, match=f"union order {MAX_N + 1} exceeds {MAX_N}"):
+        disjoint_union(*[K1] * (MAX_N + 1))
+    with pytest.raises(HypothesisUnmet, match="permutation length 2 != order 3"):
+        apply_perm(TRIANGLE, Permutation((1, 0)))
 
 
 @given(digraphs(max_n=6, oriented=False))
@@ -117,5 +132,7 @@ def test_connectivity_of_underlying():
 def test_vertex_set_algebra():
     w = VertexSet.from_members(4, [0, 2])
     assert w.members() == (0, 2)
+    with pytest.raises(OutOfRange, match=r"vertex 4 not in 0\.\.3"):
+        VertexSet.from_members(4, [0, 4])
     assert w.complement().members() == (1, 3)
     assert w.sym_diff(VertexSet.from_members(4, [2, 3])).members() == (0, 3)

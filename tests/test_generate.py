@@ -21,7 +21,6 @@ from switchdeck.generate import (
     gen_oriented_paths,
     gen_tournaments,
     gen_underlying_graphs,
-    gen_underlying_maxdeg2,
     maxdeg2_shapes,
 )
 from switchdeck.spaces import card_table
@@ -167,7 +166,6 @@ def test_maxdeg2_shapes_partition_the_class():
     for n in range(1, 9):
         shapes = maxdeg2_shapes(n)
         assert len(shapes) == len(set(shapes))
-        assert len(list(gen_underlying_maxdeg2(n))) == len(shapes)
 
 
 def test_generator_bounds():
@@ -177,6 +175,17 @@ def test_generator_bounds():
         list(gen_oriented_cycles(2))
     with pytest.raises(OutOfRange):
         list(gen_underlying_graphs(9))
+    with pytest.raises(OutOfRange, match="need at least 1 vertex"):
+        maxdeg2_shapes(0)
+    with pytest.raises(OutOfRange, match="unknown class 'nope'"):
+        check_orders("nope", 1, 1)
+    # each generator checks its order at the first next(), before any scan
+    for gen, label, n in [(gen_oriented_paths, "paths", 31),
+                          (gen_oriented_cycles, "cycles", 31),
+                          (lambda n: gen_oriented_cycles(n, digons=True), "digon-cycles", 21),
+                          (gen_oriented_maxdeg2, "maxdeg2", 17)]:
+        with pytest.raises(OutOfRange, match=f"{label} supports"):
+            next(gen(n))
 
 
 def _library_entry(label: str, n: int, heavy: bool):

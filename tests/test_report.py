@@ -32,17 +32,17 @@ def test_make_family_checks_its_claim():
 
 def test_family_checks_hold_under_python_O():
     code = (
-        "from switchdeck import SwitchDeckError, make_family, parse_digraph6\n"
+        "from switchdeck import SwitchDeckError, VertexSet, make_family, parse_digraph6\n"
+        "from switchdeck import maxdeg2_shapes, switch_set\n"
         "from switchdeck.cycles import CycleOrientation, Rotation\n"
-        "from switchdeck.generate import shape_underlying\n"
         "print(__debug__)\n"
         "for call in (\n"
         "    lambda: make_family('x', 0, [parse_digraph6('&BP_'), parse_digraph6('&B?o')]),\n"
         "    lambda: CycleOrientation(3, (0, 1)),\n"
         "    lambda: CycleOrientation(3, (0, 1, 7)),\n"
         "    lambda: Rotation(-2, 1),\n"
-        "    lambda: shape_underlying(3, (('p', 2),)),\n"
-        "    lambda: shape_underlying(2, (('p', 2), ('p', 1))),\n"
+        "    lambda: maxdeg2_shapes(0),\n"
+        "    lambda: switch_set(parse_digraph6('&BP_'), VertexSet(2, 1)),\n"
         "):\n"
         "    try:\n"
         "        call()\n"

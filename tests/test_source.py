@@ -48,6 +48,13 @@ def _exported_names(tree: ast.Module) -> set[str]:
     return set()
 
 
+def test_every_exported_name_exists_once():
+    """A stale __all__ entry would break only `from switchdeck import *`."""
+    names = switchdeck.__all__
+    assert [n for n in names if not hasattr(switchdeck, n)] == []
+    assert len(names) == len(set(names))
+
+
 def test_library_has_no_unused_imports():
     """Every imported name is read in its module or listed in its __all__."""
     modules = sorted(SRC.rglob("*.py"))

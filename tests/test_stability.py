@@ -87,6 +87,8 @@ def test_stable_sets():
     assert not is_switching_stable_set([DIRECTED_C4])
     with pytest.raises(HypothesisUnmet, match="at least one member"):
         is_switching_stable_set([])
+    with pytest.raises(HypothesisUnmet, match="must share an order"):
+        is_switching_stable_set([K1, ARC])
 
 
 def test_stable_set_bound_reports():
@@ -101,6 +103,14 @@ def test_stable_set_bound_reports():
                                 STABLE_C4])
     with pytest.raises(HypothesisUnmet, match="underlying graph must be connected"):
         check_stable_set_bound([disjoint_union(K1, K1)])
+    with pytest.raises(HypothesisUnmet, match="at least one member"):
+        check_stable_set_bound([])
+    with pytest.raises(HypothesisUnmet, match="must share an order"):
+        check_stable_set_bound([K1, ARC])
+    with pytest.raises(HypothesisUnmet, match="members must be oriented"):
+        check_stable_set_bound([from_arcs(2, [(0, 1), (1, 0)], oriented=False)])
+    with pytest.raises(HypothesisUnmet, match="the set is not switching-stable"):
+        check_stable_set_bound([DIRECTED_C4])
 
 
 def brute_aut_order(g: Digraph) -> int:
@@ -128,6 +138,10 @@ def test_stable_c4_realizes_full_index():
     # trivial automorphism group, so the index 2^(n-1) = 8 is all of gamma
     assert brute_aut_order(STABLE_C4) == 1
     assert gamma_group(STABLE_C4).order == 8
+    with pytest.raises(OutOfRange, match="order 17 exceeds automorphism cap 16"):
+        gamma_group(disjoint_union(*[K1] * 17))
+    with pytest.raises(HypothesisUnmet, match="need a connected digraph"):
+        gamma_group(disjoint_union(STABLE_C4, K1))
 
 
 def test_gamma_group_above_512_elements_checks_closure_on_a_probe():

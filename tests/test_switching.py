@@ -106,6 +106,8 @@ def test_switch_vertex_bounds():
     g = from_arcs(2, [(0, 1)])
     with pytest.raises(OutOfRange, match="vertex 2 not in 0..1"):
         switch_vertex(g, 2)
+    with pytest.raises(OutOfRange, match="set on 3 vertices applied to order 2"):
+        switch_set(g, VertexSet(3, 1))
 
 
 @given(graph_and_set(oriented=True))
