@@ -21,7 +21,10 @@ share one protocol, whose class arithmetic all runs on uint64 arrays:
   relabelling group, and each string's image under one of them;
 - vertex_images: one row per action, the vertex that action sends each
   vertex to;
-- orbit_min_array(xs): each string's orbit minimum, an exact class id;
+- orbit_min_array(xs, at=None): each string's orbit minimum, an exact class
+  id, after the string is switched at `at`: an int, or a vertex column that
+  broadcasts against xs.  group_min is the generic kernel, one image per
+  action; CycleSpace has its own, one reflection and one shift per rotation;
 - switched_array(xs, v): each string with vertex v switched, from a uint64
   flips table built once per space, so v may be an int or an integer array
   that broadcasts against xs;
@@ -29,12 +32,13 @@ share one protocol, whose class arithmetic all runs on uint64 arrays:
   scan over the actions, yields them in chunks;
 - count(): the class count, without a scan; digraph(x): one string's digraph.
 
-card_table is the one card kernel over that protocol: the class ids of all n
-cards of each string, from one image per action.  For the small spaces that
-make up max-degree-2 graphs, tabulated_reps runs it once over all orbit
-minima: card_rows gives each card as its index among them, which the
-census signs, and card(x, v) reads one card, which now serves only the
-exact step on the census's signature candidates.
+card_table is the one card function over that protocol: the class ids of all
+n cards of each string, from the space's orbit_min_array at every vertex, one
+slice of strings at a time.  For the small spaces that make up max-degree-2
+graphs, tabulated_reps runs it once over all orbit minima: card_rows gives
+each card as its index among them, which the census signs, and card(x, v)
+reads one card, which now serves only the exact step on the census's
+signature candidates.
 """
 
 from __future__ import annotations
@@ -72,11 +76,20 @@ def scan_reps(space, chunk: int = _CHUNK) -> Iterator:
         yield xs
 
 
-def group_min(space, xs):
-    """Each string's orbit minimum: its least image under the actions."""
-    best = xs.copy()
-    for action in space.actions:
-        _np.minimum(best, space.act_array(action, xs), out=best)
+def group_min(space, xs, at=None):
+    """Each string's orbit minimum after it is switched at `at` (an int, or
+    an integer array that broadcasts against xs; None switches nothing).  A
+    relabelling h takes the switch at v to the switch at h(v),
+    h(switch_v x) = switch_h(v)(h x), so one image of xs per action serves
+    every vertex in `at`."""
+    if at is None:
+        best = xs.copy()
+        for action in space.actions:
+            _np.minimum(best, space.act_array(action, xs), out=best)
+        return best
+    best = space.switched_array(xs, at)
+    for action, image in zip(space.actions, space.vertex_images):
+        _np.minimum(best, space.switched_array(space.act_array(action, xs), image[at]), out=best)
     return best
 
 
@@ -92,18 +105,13 @@ def index_chunk(space, start: int, stop: int):
 
 def card_table(space, xs):
     """Row v holds the class ids of the cards at vertex v of each string in
-    xs: the orbit minima of its switches at v.  A relabelling h takes the
-    switch at v to the switch at h(v), h(switch_v x) = switch_h(v)(h x), so
-    one image of each string per action serves all n cards."""
+    xs: the orbit minima of its switches at v, from the space's own
+    orbit_min_array, one slice of columns at a time."""
     out = _np.empty((space.n, len(xs)), dtype=_np.uint64)
     vertices = _np.arange(space.n)[:, None]
     for start in range(0, len(xs), _CARD_COLUMNS):
         x = xs[start:start + _CARD_COLUMNS]
-        best = out[:, start:start + len(x)]
-        best[...] = space.switched_array(x, vertices)
-        for action, image in zip(space.actions, space.vertex_images):
-            _np.minimum(best, space.switched_array(space.act_array(action, x), image[:, None]),
-                        out=best)
+        out[:, start:start + len(x)] = space.orbit_min_array(x, vertices)
     return out
 
 
@@ -277,8 +285,8 @@ class CycleSpace:
         r, reflect = action
         return self._rotate(self._reflect(xs) if reflect else xs, r)
 
-    def orbit_min_array(self, xs):
-        return self._orbit_min_array(xs)
+    def orbit_min_array(self, xs, at=None):
+        return self._orbit_min_array(xs, at)
 
     def switched_array(self, xs, v):
         """Flip the letters of edges v-1 and v; digon letters stay put."""
@@ -301,8 +309,41 @@ class CycleSpace:
         return ((xs >> s) | (xs << (_np.uint64(self.width) - s))) & _np.uint64(self.mask)
 
     # orbit_min_array forwards here so that this one name covers every
-    # cycle orbit minimum; perfbench/tracer.py times the cycle kernel by it
-    _orbit_min_array = group_min
+    # cycle orbit minimum, cards included; perfbench/tracer.py times the
+    # cycle card kernel by it, as spaces.orbit_min_array
+    def _orbit_min_array(self, xs, at=None):
+        """Each string's orbit minimum after it is switched at `at`, as in
+        group_min, from one reflection per call and one shift per rotation.
+
+        The orbit of a string y is its n rotations and the n rotations of
+        reflect(y).  Reflection is the action (0, True), whose vertex image
+        is rho(v) = (n - v) mod n, so reflect(switch_v x) = switch_rho(v)(reflect x):
+        xs is reflected once, and each side is switched once, before any
+        rotation.
+
+        A word D holding a string top-aligned in 64 bits and followed by
+        its own start holds the string's left rotation by r letters in the
+        top w bits of D << b*r, for every r <= (64 - w) // b.  That covers
+        all n rotations up to w = 32; a wider string, up to the 40 bits of
+        digon order 20, takes one more block, which one _rotate starts.  The
+        top w bits of a word are monotone in it, so the least shifted word,
+        shifted right by 64 - w, is the least rotation."""
+        n, b, w = self.n, self.b, self.width
+        ys = self._reflect(xs)
+        if at is not None:
+            xs, ys = self.switched_array(xs, at), self.switched_array(ys, (n - at) % n)
+        top, step = _np.uint64(64 - w), _np.uint64(b)
+        per_block = (64 - w) // b + 1
+        best = None
+        for side in (xs, ys):
+            for first in range(0, n, per_block):
+                word = (self._rotate(side, n - first) if first else side) << top
+                word |= word >> _np.uint64(w)
+                best = word.copy() if best is None else _np.minimum(best, word, out=best)
+                for _ in range(1, min(per_block, n - first)):
+                    word <<= step
+                    _np.minimum(best, word, out=best)
+        return best >> top
 
     def count(self) -> int:
         """Class count by orbit counting over the 2n relabellings."""

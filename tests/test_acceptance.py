@@ -196,7 +196,7 @@ def test_criterion_7_digon_sweep():
         hi = 20 if HEAVY else 16
         report = run_census("digon-cycles", (13, hi), (0, 0), heavy=HEAVY)
         assert report.families == []
-        budget = 1800 if HEAVY else 40
+        budget = 1800 if HEAVY else 20
         assert c.elapsed <= budget, f"took {c.elapsed:.1f}s, budget {budget}s"
         c.detail = (f"figure pair shares its deck; no pairs on 13..{hi} "
                     f"vertices, in {c.elapsed:.1f}s")

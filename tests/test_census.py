@@ -499,6 +499,7 @@ def _check_card_table(space, domain):
     for v in range(space.n):
         assert (switched[v] == space.switched_array(xs, v)).all()
         assert (table[v] == space.orbit_min_array(switched[v])).all()
+        assert (table[v] == spaces.group_min(space, switched[v])).all()
 
 
 def test_card_table_rows_are_the_orbit_minima_of_each_vertex_switch(monkeypatch):
@@ -521,6 +522,22 @@ def test_card_table_rows_are_the_orbit_minima_of_each_vertex_switch(monkeypatch)
     for u in gen_underlying_graphs(6):
         space = OrientationSpace(u)
         _check_card_table(space, range(space.domain_total))
+
+
+def test_cycle_kernel_matches_the_generic_kernel_at_every_width():
+    """The cycle kernel against group_min on seeded random strings, switched
+    at nothing, at one vertex and at every vertex.  Digon orders 17..20 are
+    wider than 32 bits, so their rotations take a second block."""
+    rng = np.random.default_rng(23)
+    cases = [CycleSpace(n) for n in range(3, 31)] + [CycleSpace(n, True) for n in range(3, 21)]
+    for space in cases:
+        letters = rng.integers(0, 2 + space.digons, size=(200, space.n))
+        xs = np.array([space.from_letters(w) for w in letters.tolist()], dtype=np.uint64)
+        for at in (None, int(rng.integers(space.n)), np.arange(space.n)[:, None]):
+            got = space._orbit_min_array(xs, at)
+            want = spaces.group_min(space, xs, at)
+            assert got.shape == want.shape
+            assert (got == want).all(), (space.n, space.digons, at)
 
 
 def test_orientation_rep_scan_on_a_large_group():
