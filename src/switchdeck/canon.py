@@ -46,7 +46,7 @@ from .digraph import (
     in_masks,
 )
 from .errors import OutOfRange
-from .spaces import concat_reps, group_min, index_chunk
+from .spaces import concat_reps, group_min, index_chunk, scan_reps
 
 CanonicalCode = bytes
 
@@ -424,6 +424,7 @@ class OrientationSpace:
                 fixed += 1 << cycles
         return fixed // (len(self.actions) + 1)
 
+    scan_reps = scan_reps
     reps_array = concat_reps
 
     def digraph(self, x: int) -> Digraph:

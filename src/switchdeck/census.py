@@ -50,7 +50,7 @@ from .digraph import (
 from .errors import CardAbsent, DichotomyViolated, HypothesisUnmet, OutOfRange
 from .generate import MAXDEG2_SHAPE_MAX_N, check_orders
 from .report import Family, SearchReport, make_family
-from .spaces import _CHUNK
+from .spaces import _CARD_COLUMNS, _CHUNK
 from .stability import is_switching_stable, is_switching_stable_set
 from .switching import switch_vertex
 
@@ -251,13 +251,18 @@ def _signed(space, xs):
 
     sig0 sums the mixed class ids of the n cards (the plain deck), own_mix
     is the mixed id of the representative itself, and has_own marks the
-    representatives whose deck holds a copy of their own class.
+    representatives whose deck holds a copy of their own class.  The cards
+    are read one card_table slice at a time, so no (n, len(xs)) table is
+    held.
     """
-    cards = spaces.card_table(space, xs)
-    sig0 = _np.zeros(len(xs), dtype=_np.uint64)
-    for row in cards:
-        sig0 += _mix64(row)
-    return xs, sig0, _mix64(xs), (cards == xs).any(axis=0)
+    sig0 = _np.empty(len(xs), dtype=_np.uint64)
+    has_own = _np.empty(len(xs), dtype=bool)
+    for start in range(0, len(xs), _CARD_COLUMNS):
+        x = xs[start:start + _CARD_COLUMNS]
+        cards = spaces.card_table(space, x)
+        sig0[start:start + len(x)] = _mix64(cards).sum(axis=0)
+        has_own[start:start + len(x)] = (cards == x).any(axis=0)
+    return xs, sig0, _mix64(xs), has_own
 
 
 def _keyed(chunk, t: int):
@@ -296,9 +301,10 @@ def _candidates(chunks, t: int, count: int) -> list[int]:
 
 
 def _rep_chunks(space, count: int):
-    """scan_reps at the engine's chunk size, checked against count()."""
+    """The space's own rep scan at the engine's chunk size, checked against
+    count()."""
     found = 0
-    for xs in spaces.scan_reps(space, _CHUNK):
+    for xs in space.scan_reps(_CHUNK):
         found += len(xs)
         if found > count:
             break

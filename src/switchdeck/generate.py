@@ -276,6 +276,7 @@ class TournamentSpace:
 
     domain_chunk = spaces.index_chunk
     orbit_min_array = spaces.group_min
+    scan_reps = spaces.scan_reps
     reps_array = spaces.concat_reps
 
     def switched_array(self, xs, v):

@@ -13,10 +13,11 @@ PathSpace, CycleSpace, canon.OrientationSpace and generate.TournamentSpace
 share one protocol, whose class arithmetic all runs on uint64 arrays:
 
 - domain_total, and domain_chunk(start, stop): the strings at domain
-  indices [start, stop), ascending.  A domain holds the strings that can be
-  orbit minima, not every string: every orientation for paths and
-  OrientationSpace, the strings starting with letter 0 (plus the all-digon
-  string) for cycles, and for TournamentSpace its classes themselves;
+  indices [start, stop), ascending, which the generic scan_reps filters.  A
+  domain holds the strings that can be orbit minima, not every string:
+  every orientation for paths and OrientationSpace, the strings starting
+  with letter 0 (plus the all-digon string) for cycles, and for
+  TournamentSpace its classes themselves;
 - actions, and act_array(action, xs): the non-identity elements of the
   relabelling group, and each string's image under one of them;
 - vertex_images: one row per action, the vertex that action sends each
@@ -28,8 +29,11 @@ share one protocol, whose class arithmetic all runs on uint64 arrays:
 - switched_array(xs, v): each string with vertex v switched, from a uint64
   flips table built once per space, so v may be an int or an integer array
   that broadcasts against xs;
-- reps_array(): the orbit minima, ascending; scan_reps, the one shrinking
-  scan over the actions, yields them in chunks;
+- scan_reps(chunk): the orbit minima, ascending, in chunks, holding arrays
+  of at most about `chunk` strings; reps_array() joins them.  As with
+  orbit_min_array, the module has the generic scan, scan_reps, which
+  shrinks each domain chunk action by action, and CycleSpace has its own,
+  which builds its minima letter by letter as prenecklaces;
 - count(): the class count, without a scan; digraph(x): one string's digraph.
 
 card_table is the one card function over that protocol: the class ids of all
@@ -95,7 +99,7 @@ def group_min(space, xs, at=None):
 
 def concat_reps(space):
     """Orbit minima as an ascending uint64 array."""
-    return _np.concatenate(list(scan_reps(space)))
+    return _np.concatenate(list(space.scan_reps()))
 
 
 def index_chunk(space, start: int, stop: int):
@@ -196,6 +200,7 @@ class PathSpace:
     def switched_array(self, xs, v):
         return xs ^ self.flips[v]
 
+    scan_reps = scan_reps
     reps_array = concat_reps
     card = card_of
 
@@ -246,6 +251,9 @@ class CycleSpace:
             return 3 ** (self.n - 1) + 1
         return 1 << (self.n - 1)
 
+    # only perfbench's tracer and this space's own tests still read the
+    # domain: the census and reps_array take scan_reps, which builds the
+    # cycle orbit minima without it
     def domain_chunk(self, start: int, stop: int):
         """Packed strings for domain indices [start, stop), ascending.  These
         are the strings that can be orbit minima, not every string.  Index
@@ -318,8 +326,16 @@ class CycleSpace:
         The orbit of a string y is its n rotations and the n rotations of
         reflect(y).  Reflection is the action (0, True), whose vertex image
         is rho(v) = (n - v) mod n, so reflect(switch_v x) = switch_rho(v)(reflect x):
-        xs is reflected once, and each side is switched once, before any
-        rotation.
+        xs is reflected once, and each side is switched once, before
+        _least_rotation rotates both."""
+        ys = self._reflect(xs)
+        if at is not None:
+            xs, ys = self.switched_array(xs, at), self.switched_array(ys, (self.n - at) % self.n)
+        return self._least_rotation(xs, ys)
+
+    def _least_rotation(self, *sides):
+        """The least rotation of each string over all the given sides, which
+        are equal-shaped arrays.
 
         A word D holding a string top-aligned in 64 bits and followed by
         its own start holds the string's left rotation by r letters in the
@@ -329,13 +345,10 @@ class CycleSpace:
         top w bits of a word are monotone in it, so the least shifted word,
         shifted right by 64 - w, is the least rotation."""
         n, b, w = self.n, self.b, self.width
-        ys = self._reflect(xs)
-        if at is not None:
-            xs, ys = self.switched_array(xs, at), self.switched_array(ys, (n - at) % n)
         top, step = _np.uint64(64 - w), _np.uint64(b)
         per_block = (64 - w) // b + 1
         best = None
-        for side in (xs, ys):
+        for side in sides:
             for first in range(0, n, per_block):
                 word = (self._rotate(side, n - first) if first else side) << top
                 word |= word >> _np.uint64(w)
@@ -344,6 +357,60 @@ class CycleSpace:
                     word <<= step
                     _np.minimum(best, word, out=best)
         return best >> top
+
+    def scan_reps(self, chunk: int = _CHUNK) -> Iterator:
+        """Orbit minima, ascending, in chunks, built letter by letter as
+        prenecklaces instead of filtered from a domain.
+
+        A prenecklace is a prefix of a necklace, a string no larger than
+        any of its rotations; lyn(a) is the length of its longest prefix
+        that is a Lyndon word.  Fredricksen, Kessler and Maiorana's
+        extension rule (Cattell, Ruskey, Sawada, Serra and Miers, J.
+        Algorithms 37, 2000, Theorem 2.1): if a_1..a_t is a prenecklace with
+        p = lyn(a), then a_1..a_t c is one exactly when c >= a_{t+1-p}, the
+        letter p places back from the new one, and its lyn is p when c
+        equals that letter and t + 1 when c exceeds it.  A prenecklace of
+        length n is a necklace exactly when p divides n.  Every single
+        letter is a Lyndon word (p = 1), and every prefix of a prenecklace is
+        one, so extending from the single letters and dropping each prefix
+        the rule rejects reaches every necklace and nothing else.
+
+        The orbit of x is its n rotations and the n rotations of
+        reflect(x).  A necklace is the least of its own rotations, so it is
+        an orbit minimum exactly when it is no larger than the least
+        rotation of its reflection (Sawada, SIAM J. Comput. 31, 2001, builds
+        bracelets from necklaces the same way).
+
+        Each level is kept ascending: the children of an ascending block of
+        prefixes are the rows of the grid prefix << b | letter, and every
+        child of a smaller prefix is smaller than every child of a larger
+        one.  Prefixes of t letters are extended depth-first in blocks of
+        chunk // k^(n-t), which have at most `chunk` completions between
+        them, so no array holds more than max(chunk, k) strings; each block
+        of n letters yields its orbit minima, and every later block's
+        strings are larger."""
+        n, b = self.n, _np.uint64(self.b)
+        letters = _np.arange(3 if self.digons else 2, dtype=_np.uint64)
+        letter_mask = _np.uint64((1 << self.b) - 1)
+        k = len(letters)
+
+        def extend(xs, ps, t):
+            # xs: ascending prenecklaces of t letters, ps: their lyn values
+            if t == n:
+                xs = xs[n % ps == 0]
+                xs = xs[self._least_rotation(self._reflect(xs)) >= xs]
+                if len(xs):
+                    yield xs
+                return
+            block = max(1, chunk // k ** (n - t))
+            for start in range(0, len(xs), block):
+                x, p = xs[start:start + block], ps[start:start + block]
+                ref = ((x >> b * (p - _np.uint8(1))) & letter_mask)[:, None]
+                keep = letters >= ref
+                lyn = _np.where(letters > ref, _np.uint8(t + 1), p[:, None])[keep]
+                yield from extend(((x[:, None] << b) | letters)[keep], lyn, t + 1)
+
+        yield from extend(letters, _np.ones(len(letters), dtype=_np.uint8), 1)
 
     def count(self) -> int:
         """Class count by orbit counting over the 2n relabellings."""

@@ -6,7 +6,7 @@ import hashlib
 
 import pytest
 
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import numpy as np
 
@@ -432,6 +432,50 @@ def test_the_all_digon_string_is_alone_in_the_last_chunk():
         assert len(chunks) == 2
         assert chunks[-1].tolist() == [space.from_letters((2,) * n)]
         assert np.concatenate(chunks).tolist() == space.reps_array().tolist()
+
+
+def _ascending_chunks(chunks):
+    """The chunks joined, after checking each is ascending and each starts
+    above the end of the one before."""
+    for chunk, after in zip(chunks, chunks[1:]):
+        assert chunk[-1] < after[0]
+    for chunk in chunks:
+        assert chunk.dtype == np.uint64 and np.all(chunk[1:] > chunk[:-1])
+    return np.concatenate(chunks)
+
+
+def test_cycle_rep_generator_gives_the_same_reps_at_every_chunk_size():
+    """CycleSpace.scan_reps splits its prenecklace extension into blocks of
+    at most `chunk` completions: at any chunk no chunk is longer than
+    max(chunk, k), and the chunks join to the one chunk a domain-sized block
+    gives, the scalar orbit minima, and as many strings as count() says."""
+    cases = [(CycleSpace(n), range(1 << n)) for n in range(3, 11)]
+    for n in range(3, 8):
+        space = CycleSpace(n, digons=True)
+        cases.append((space, [space.from_letters(w) for w in product(range(3), repeat=n)]))
+    for space, domain in cases:
+        (whole,) = space.scan_reps(3 ** space.n)
+        assert whole.tolist() == least_per_class(space, domain)
+        for chunk in (1, 7, 3 ** 5):
+            chunks = list(space.scan_reps(chunk))
+            assert max(map(len, chunks)) <= max(chunk, 3)
+            assert np.array_equal(_ascending_chunks(chunks), whole)
+    sizes = [CycleSpace(n) for n in range(3, 25)]
+    sizes += [CycleSpace(n, digons=True) for n in range(3, 15)]
+    for space in sizes:
+        assert len(_ascending_chunks(list(space.scan_reps()))) == space.count()
+
+
+@pytest.mark.parametrize("n", [17, 20])
+def test_wide_digon_rep_chunks_are_their_own_orbit_minima(n):
+    """Digon orders 17..20 are wider than 32 bits, where the rotation
+    kernel takes a second block, and only heavy censuses scan them in full;
+    the first chunks at a small chunk size are ascending and each string is
+    its own orbit minimum under the generic kernel."""
+    space = CycleSpace(n, digons=True)
+    assert space.width > 32
+    xs = _ascending_chunks(list(islice(space.scan_reps(3 ** 5), 40)))
+    assert np.array_equal(spaces.group_min(space, xs), xs)
 
 
 def test_space_actions_are_relabellings_and_orbit_min_is_their_least_image():
