@@ -26,6 +26,10 @@ the least rows, the first leaf giving them and a leaf with the first leaf's
 rows still turn up.  So the automorphisms found that fix the first k path
 vertices reach the orbit of the next one under their stabiliser, and one
 element per orbit point and level, multiplied, lists the group once.
+
+tournament_codes gives the same codes for many tournaments at once: numpy
+refines all their root partitions together, a discrete one is the code, and
+only the others run the search.
 """
 
 from __future__ import annotations
@@ -244,6 +248,56 @@ def canonical_code(g: Digraph) -> CanonicalCode:
         acc = acc << n | row
     size = (n * n + 7) >> 3
     return bytes([n]) + (acc << (size * 8 - n * n)).to_bytes(size, "big")
+
+
+def tournament_codes(outs):
+    """Canonical codes of tournaments on n <= 8 vertices, one uint64 per row
+    of an (N, n) uint8 array of out-masks: the code's bytes after the order
+    byte, read big-endian, so integer order is code order.
+
+    All rows refine together, in synchronous rounds.  A round keys each
+    vertex on its cell index, then its out-counts against every cell in
+    cell order, and gives it the rank of its key among its row's keys as
+    its new cell index.  The cell index leads the key, so cells split in
+    place, their children sorted by counts: the full recount whose buckets
+    and order _stable_partition's incremental rounds give.  _canonical_search
+    passes inn=None for a tournament, so out-counts are the whole key.  The
+    counts are the base-8 digits of the sum of 8^(n - 1 - cell) over a
+    vertex's out-neighbours; no count exceeds 7, so no digit carries.  A row
+    stays active only while its partition grows, so each row ends at
+    _search's root partition.  Where that is discrete it is the search's
+    only leaf, and the code is the adjacency matrix relabelled in cell
+    order.  Any other row goes through canonical_code.
+    """
+    rows, n = outs.shape
+    arcs = (outs[:, :, None] >> _np.arange(n, dtype=_np.uint8) & 1).astype(_np.intp)
+    cell = _np.zeros((rows, n), dtype=_np.intp)
+    size = _np.ones(rows, dtype=_np.intp)
+    active = _np.arange(rows)
+    while active.size:
+        c = cell[active]
+        keys = c << 3 * n | _np.matmul(arcs[active], 1 << 3 * (n - 1 - c)[:, :, None])[:, :, 0]
+        order = _np.argsort(keys, axis=1)
+        ranked = _np.take_along_axis(keys, order, axis=1)
+        rank = _np.zeros_like(c)
+        _np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=rank[:, 1:])
+        _np.put_along_axis(c, order, rank, axis=1)
+        grown = rank[:, -1] + 1
+        refining = (grown > size[active]) & (grown < n)
+        cell[active] = c
+        size[active] = grown
+        active = active[refining]
+    perm = _np.argsort(cell, axis=1)
+    relabelled = _np.take_along_axis(outs, perm, axis=1)
+    matrix = relabelled[:, :, None] >> perm[:, None, :].astype(_np.uint8) & 1
+    code_bytes = (n * n + 7) >> 3
+    packed = _np.zeros((rows, 8), dtype=_np.uint8)
+    packed[:, 8 - code_bytes:] = _np.packbits(matrix.reshape(rows, n * n), axis=1)
+    codes = packed.view(">u8")[:, 0].astype(_np.uint64)
+    for r in _np.flatnonzero(size < n).tolist():
+        code = canonical_code(Digraph(n, tuple(outs[r].tolist())))
+        codes[r] = int.from_bytes(code[1:], "big")
+    return codes
 
 
 def code_to_digraph(code: CanonicalCode) -> Digraph:

@@ -7,9 +7,9 @@ _shape_rows, its components' indices among their parts' orbit minima: the
 one enumeration of a shape's classes, which the census signs too.
 Tournaments and undirected graphs grow level by level, a vertex or an edge
 at a time: each level keeps the first child per canonical code, its parents
-taken in code order, and is sorted by code.  The child codes of the last
-tournament level also give each class's cards: TournamentSpace, where
-orientation_space sends K_n.
+taken in code order, and is sorted by code.  A tournament level is one grid
+of children, coded by canon.tournament_codes; its class table also gives
+each class's cards: TournamentSpace, where orientation_space sends K_n.
 """
 
 from __future__ import annotations
@@ -169,46 +169,49 @@ def gen_oriented_maxdeg2(n: int) -> Iterator[Digraph]:
 
 def _next_level(level: list[Digraph], children: Callable[[Digraph], Iterable[Digraph]]):
     """The next level: the first child per canonical code, parents taken in
-    order, sorted by code.
-
-    Returns (kept, rows).  kept holds each kept child as (code, parent index,
-    child index, child); rows[i][j] is the code of parent i's j-th child.
-    """
-    first: dict[bytes, tuple[int, int, Digraph]] = {}
-    rows: list[list[bytes]] = []
-    for i, parent in enumerate(level):
-        row = []
-        for j, child in enumerate(children(parent)):
-            code = canon.canonical_code(child)
-            row.append(code)
-            if code not in first:
-                first[code] = (i, j, child)
-        rows.append(row)
-    return [(code, *first[code]) for code in sorted(first)], rows
+    order, sorted by code."""
+    first: dict[bytes, Digraph] = {}
+    for parent in level:
+        for child in children(parent):
+            first.setdefault(canon.canonical_code(child), child)
+    return [first[code] for code in sorted(first)]
 
 
-def _vertex_children(g: Digraph) -> Iterator[Digraph]:
-    """Every tournament on one more vertex that restricts to g: child q has
-    the new vertex k = g.n beating exactly the vertices in the bits of q."""
-    k = g.n + 1
-    for pattern in range(1 << (k - 1)):
-        out = [g.out[v] | (0 if pattern >> v & 1 else 1 << (k - 1)) for v in range(k - 1)]
-        out.append(pattern)
-        yield Digraph(k, tuple(out))
+# rows per canon.tournament_codes call, so that no temporary grows with a level
+_LEVEL_SLICE = 4096
 
 
 def _tournament_level(n: int):
-    """(parents, kept, rows) of the order-n tournament level.
+    """(parents, kept, rows) of the order-n tournament level, grown by vertex
+    extension from the empty tournament.
 
-    parents are the order-(n - 1) classes, grown by vertex extension from the
-    empty tournament; kept and rows are _next_level's over them.
+    parents are the order-(n - 1) classes.  Child(P, q), for a parent P on
+    k = n - 1 vertices and a k-bit pattern q, has the new vertex k beating
+    exactly the vertices in the bits of q: out[v] = P.out[v] | 1 << k unless
+    q has bit v, and out[k] = q.  The children of all parents are one grid in
+    (parent, pattern) order.  kept holds the first child per code as (code,
+    parent index, pattern, child), sorted by code, with the code as
+    canon.tournament_codes gives it; rows[i, q] is the index in kept of the
+    class of Child(parents[i], q).
     """
     level = [EMPTY]
-    for _ in range(n):
+    outs = _np.zeros((1, 0), dtype=_np.uint8)
+    for k in range(n):
+        patterns = _np.arange(1 << k, dtype=_np.uint8)
+        beaten = (patterns[:, None] >> _np.arange(k, dtype=_np.uint8) & 1) == 0
+        grid = _np.empty((len(level), 1 << k, k + 1), dtype=_np.uint8)
+        grid[:, :, :k] = outs[:, None, :] | beaten * _np.uint8(1 << k)
+        grid[:, :, k] = patterns
+        grid = grid.reshape(-1, k + 1)
+        codes = _np.concatenate([canon.tournament_codes(grid[s:s + _LEVEL_SLICE])
+                                 for s in range(0, len(grid), _LEVEL_SLICE)])
+        codes, first, inverse = _np.unique(codes, return_index=True, return_inverse=True)
         parents = level
-        kept, rows = _next_level(parents, _vertex_children)
-        level = [g for *_, g in kept]
-    return parents, kept, rows
+        outs = grid[first]
+        level = [Digraph(k + 1, tuple(row)) for row in outs.tolist()]
+    kept = [(code, f >> k, f & ((1 << k) - 1), g)
+            for code, f, g in zip(codes.tolist(), first.tolist(), level)]
+    return parents, kept, inverse.reshape(len(parents), 1 << k)
 
 
 def gen_tournaments(n: int) -> Iterator[Digraph]:
@@ -222,11 +225,11 @@ def _tournament_cards(n: int, parents, kept, rows):
     """(classes, n) uint64 table: entry [x, v] is the index in kept of the
     class of kept tournament x switched at vertex v.
 
-    Every card is read from the child codes the last level computed, with no
-    search per card.  Write Child(P, q) for the q-th child of an order-(n - 1)
-    tournament P (_vertex_children), k = n - 1 for its new vertex and ~q for
-    the complement of q in k bits.  Each kept T = Child(P_i, q) for a parent
-    P_i and pattern q, and two identities hold:
+    Every card is read from the class table of the last level's grid, with no
+    search per card.  Child(P, q) is that grid's child of an order-(n - 1)
+    tournament P and pattern q (_tournament_level); write k = n - 1 for its
+    new vertex and ~q for the complement of q in k bits.  Each kept
+    T = Child(P_i, q) for a parent P_i and pattern q, and two identities hold:
 
     - switching gives a child: switch(T, k) = Child(P_i, ~q), and for v < k,
       switch(T, v) = Child(switch(P_i, v), q ^ 1 << v), since switching v
@@ -236,27 +239,30 @@ def _tournament_cards(n: int, parents, kept, rows):
       pi(q') = {pi(w) : w in q'}.  Equal codes give equal canonical forms, so
       pi = canonical_perm(P_j)^-1 o canonical_perm(Q) does this.
 
-    So the card of T at v < k is rows[j][pi(q ^ 1 << v)], with (j, pi) from
+    So the card of T at v < k is rows[j, pi(q ^ 1 << v)], with (j, pi) from
     one order-(n - 1) search of switch(P_i, v) per parent and vertex, and the
-    card at k is rows[i][~q]: as an index, ~q counts from the row's end.
+    card at k is rows[i, ~q]: as an index, ~q counts from the row's end.
     """
     k = n - 1
-    class_of = {code: x for x, (code, *_) in enumerate(kept)}
-    rows = [[class_of[code] for code in row] for row in rows]
     index = {canon.canonical_code(p): j for j, p in enumerate(parents)}
     # order[j][pos]: the vertex of P_j at position pos of its canonical form
     order = [sorted(range(k), key=canon.canonical_perm(p).image.__getitem__) for p in parents]
-
-    def move(sw):
-        """rows[j] and pi as bits, pi(w) at w, for sw = switch(P_i, v)."""
-        j = index[canon.canonical_code(sw)]
-        return rows[j], [1 << order[j][pos] for pos in canon.canonical_perm(sw).image]
-
-    moves = [[move(switch_vertex(p, v)) for v in range(k)] for p in parents]
-    columns = [[row[sum(b for w, b in enumerate(bits) if (q ^ 1 << v) >> w & 1)]
-                for v, (row, bits) in enumerate(moves[i])] + [rows[i][~q]]
-               for _, i, q, _ in kept]
-    return _np.array(columns, dtype=_np.uint64)
+    # target[i, v] = j and image[i, v, w] = pi(w) for switch(P_i, v)
+    target = _np.zeros((len(parents), k), dtype=_np.intp)
+    image = _np.zeros((len(parents), k, k), dtype=_np.intp)
+    for i, p in enumerate(parents):
+        for v in range(k):
+            sw = switch_vertex(p, v)
+            j = target[i, v] = index[canon.canonical_code(sw)]
+            image[i, v] = [order[j][pos] for pos in canon.canonical_perm(sw).image]
+    parent = _np.array([i for _, i, _, _ in kept], dtype=_np.intp)
+    pattern = _np.array([q for _, _, q, _ in kept], dtype=_np.intp)
+    switched = pattern[:, None] ^ 1 << _np.arange(k)
+    held = switched[:, :, None] >> _np.arange(k) & 1
+    cards = _np.empty((len(kept), n), dtype=_np.uint64)
+    cards[:, :k] = rows[target[parent], (held << image[parent]).sum(axis=2)]
+    cards[:, k] = rows[parent, ~pattern]
+    return cards
 
 
 class TournamentSpace:
@@ -328,7 +334,7 @@ def gen_underlying_graphs(n: int) -> Iterator[UnderlyingGraph]:
     while level:
         for g in level:
             yield UnderlyingGraph(n, g.out)
-        level = [g for *_, g in _next_level(level, _edge_children)[0]]
+        level = _next_level(level, _edge_children)
 
 
 def orientation_space(u: UnderlyingGraph):

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import hashlib
+import random
 
+import numpy as np
 import pytest
 
 from switchdeck import canon, census, cli, generate
 from switchdeck.canon import canonical_code
 from switchdeck.census import run_census
-from switchdeck.digraph import Digraph, format_digraph6, is_connected, underlying
+from switchdeck.digraph import EMPTY, Digraph, format_digraph6, is_connected, underlying
 from switchdeck.errors import HeavyFlagRequired, OutOfRange
 from switchdeck.generate import (
     CLASS_BOUNDS,
@@ -124,6 +126,51 @@ def test_tournament_space_cards_match_one_search_per_card():
                 [canonical_code(switch_vertex(g, v)) for g in graphs]
 
 
+def _children(parent: Digraph) -> list[Digraph]:
+    """Child(P, q) for every pattern q, in order: the new vertex k beats
+    exactly the vertices in the bits of q."""
+    k = parent.n
+    return [Digraph(k + 1, tuple(o | (0 if q >> v & 1 else 1 << k)
+                                 for v, o in enumerate(parent.out)) + (q,))
+            for q in range(1 << k)]
+
+
+def _root_is_discrete(g: Digraph) -> bool:
+    return len(canon._stable_partition(g.n, g.out, None, [list(range(g.n))])) == g.n
+
+
+def test_tournament_level_codes_match_the_canonical_search():
+    """The numpy codes are canonical_code's: for every child of orders 1..7,
+    and at order 8 for every child whose root refinement is not discrete
+    plus a seeded sample of 2,000 others.  Each level's parents are the last
+    level's classes, kept codes ascend, kept holds the first child per code,
+    and rows[i, q] is the class of the q-th child of parents[i]."""
+    rng = random.Random(8)
+    for n in range(1, 9):
+        parents, kept, rows = generate._tournament_level(n)
+        assert parents == (list(gen_tournaments(n - 1)) if n > 1 else [EMPTY])
+        children = [c for p in parents for c in _children(p)]
+        codes = canon.tournament_codes(
+            np.array([c.out for c in children], dtype=np.uint8)).tolist()
+        checked = range(len(children))
+        if n == 8:
+            discrete = [x for x, c in enumerate(children) if _root_is_discrete(c)]
+            assert 2000 < len(discrete) < len(children)
+            checked = sorted(set(checked) - set(discrete)) + rng.sample(discrete, 2000)
+        kept_codes = [code for code, *_ in kept]
+        assert kept_codes == sorted(set(kept_codes)) == sorted(set(codes))
+        first: dict[int, int] = {}
+        for x, c in enumerate(rows.ravel().tolist()):
+            first.setdefault(c, x)
+        assert [(i << (n - 1)) + q for _, i, q, _ in kept] == [first[c] for c in range(len(kept))]
+        assert [g for *_, g in kept] == [children[first[c]] for c in range(len(kept))]
+        size = (n * n + 7) >> 3
+        for x in checked:
+            want = canonical_code(children[x])
+            assert bytes([n]) + codes[x].to_bytes(size, "big") == want
+            assert bytes([n]) + kept_codes[rows.flat[x]].to_bytes(size, "big") == want
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_underlying_generator_counts(n):
     us = list(gen_underlying_graphs(n))
@@ -213,7 +260,8 @@ def test_every_bounds_row_rejects_its_edges_before_enumerating(label, monkeypatc
     def enumerated(*args, **kwargs):
         raise AssertionError(f"{label} enumerated before its order check")
 
-    for owner, name in ((generate, "_next_level"), (census, "_space_census"),
+    for owner, name in ((generate, "_next_level"), (generate, "_tournament_level"),
+                        (canon, "tournament_codes"), (census, "_space_census"),
                         (census, "_census_one_shape"), (census, "_census_reduced_span")):
         monkeypatch.setattr(owner, name, enumerated)
     n_min, n_max, heavy_over = CLASS_BOUNDS[label]
