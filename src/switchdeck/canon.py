@@ -451,32 +451,50 @@ class OrientationSpace:
 
     domain_chunk = index_chunk
 
-    def count(self) -> int:
-        """Class count by Burnside's lemma over the automorphism actions.
+    def _cycle_solve(self, srcpos, target: int):
+        """Solve P(x) ^ x = target, P moving bit srcpos[m-1-p] to bit p (an
+        action without its flips).  Along a cycle of P each bit of x is the
+        last one XOR target's bit, so the cycle closes only on an even number
+        of target bits.  None if one does not, else a solution x0 and the
+        cycles' masks: the solutions are x0 XOR their sums."""
+        m, x0, seen, cycles = self.m, 0, 0, []
+        for start in range(m):
+            if seen >> start & 1:
+                continue
+            bit, pos, cycle = 0, start, 0
+            while not cycle >> pos & 1:
+                cycle |= 1 << pos
+                x0 |= bit << pos
+                bit ^= target >> pos & 1
+                pos = srcpos[m - 1 - pos]  # the bit moved to pos
+            if bit:
+                return None
+            seen |= cycle
+            cycles.append(cycle)
+        return x0, cycles
 
-        An action permutes bit positions and then flips some; it fixes an
-        orientation exactly when each cycle of the bit permutation holds an
-        even number of flipped positions, and then fixes 2^cycles of them.
-        """
-        fixed = 1 << self.m
+    def count(self) -> int:
+        """Class count by Burnside: P(x) ^ flip fixes each x with P(x) ^ x = flip."""
+        fixed = sum(1 << len(solved[1]) for action in self.actions
+                    if (solved := self._cycle_solve(action.srcpos, action.flip)))
+        return ((1 << self.m) + fixed) // (len(self.actions) + 1)
+
+    def self_card_strings(self, v: int):
+        """The strings x whose switch x ^ flips[v] is h(x) for an automorphism
+        h, ascending: every string when flips[v] = 0 (h the identity), else
+        the solutions of P(x) ^ x = flip ^ flips[v] over the actions."""
+        f = int(self.flips[v])
+        if not f:
+            return _np.arange(1 << self.m, dtype=_np.uint64)
+        found = [_np.empty(0, dtype=_np.uint64)]
         for action in self.actions:
-            seen = 0
-            cycles = 0
-            for start in range(self.m):
-                if seen >> start & 1:
-                    continue
-                cycles += 1
-                parity = 0
-                pos = start
-                while not seen >> pos & 1:
-                    seen |= 1 << pos
-                    parity ^= action.flip >> pos & 1
-                    pos = action.srcpos[self.m - 1 - pos]  # the bit moved to pos
-                if parity:
-                    break
-            else:
-                fixed += 1 << cycles
-        return fixed // (len(self.actions) + 1)
+            solved = self._cycle_solve(action.srcpos, action.flip ^ f)
+            if solved:
+                xs = _np.array(solved[:1], dtype=_np.uint64)
+                for cycle in solved[1]:
+                    xs = _np.concatenate([xs, xs ^ _np.uint64(cycle)])
+                found.append(xs)
+        return _np.unique(_np.concatenate(found))
 
     scan_reps = scan_reps
     reps_array = concat_reps

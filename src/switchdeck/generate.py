@@ -288,6 +288,11 @@ class TournamentSpace:
     def switched_array(self, xs, v):
         return self.cards[xs, v]
 
+    def self_card_strings(self, v: int):
+        """The classes whose card at v is themselves, ascending."""
+        xs = _np.arange(self.domain_total, dtype=_np.uint64)
+        return xs[self.cards[:, v] == xs]
+
     def count(self) -> int:
         return self.domain_total
 

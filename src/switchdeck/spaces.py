@@ -20,8 +20,7 @@ share one protocol, whose class arithmetic all runs on uint64 arrays:
   TournamentSpace its classes themselves;
 - actions, and act_array(action, xs): the non-identity elements of the
   relabelling group, and each string's image under one of them;
-- vertex_images: one row per action, the vertex that action sends each
-  vertex to;
+- vertex_images: one row per action, the vertex it sends each vertex to;
 - orbit_min_array(xs, at=None): each string's orbit minimum, an exact class
   id, after the string is switched at `at`: an int, or a vertex column that
   broadcasts against xs.  group_min is the generic kernel, one image per
@@ -34,7 +33,9 @@ share one protocol, whose class arithmetic all runs on uint64 arrays:
   orbit_min_array, the module has the generic scan, scan_reps, which
   shrinks each domain chunk action by action, and CycleSpace has its own,
   which builds its minima letter by letter as prenecklaces;
-- count(): the class count, without a scan; digraph(x): one string's digraph.
+- count(): the class count, without a scan; digraph(x): one string's digraph;
+- self_card_strings(v), on OrientationSpace and TournamentSpace only: the
+  strings whose card at v is their own class, ascending, with no scan.
 
 card_table is the one card function over that protocol: the class ids of all
 n cards of each string, from the space's orbit_min_array at every vertex, one

@@ -41,22 +41,24 @@ def is_switching_stable(g: Digraph) -> bool:
 def classify_stable_connected(n: int) -> list[Digraph]:
     """All connected oriented switching-stable classes on exactly n vertices.
 
-    Scans the orientation classes of each connected underlying graph, in the
-    space generate.orientation_space picks for it, keeping the classes whose
-    every card is their own class.  A connected graph with trivial
-    automorphism group admits no stable orientation (a switch about a
-    non-isolated vertex moves some edge, and the only possible isomorphism
+    Each connected underlying graph u, in the space that
+    generate.orientation_space picks for it, gives its stable orbit minima
+    with no scan of its classes.  A stable minimum x has its card at vertex
+    0 in its own class, so x is among the space's self_card_strings(0), and
+    x is its own orbit minimum, so it is among their orbit minima; the full
+    card check on those keeps exactly the stable ones.  A connected u with
+    trivial automorphism group admits no stable orientation (a switch about
+    a non-isolated vertex moves some edge, and the only possible isomorphism
     back would be an underlying automorphism), so those are skipped.
 
-    Orders 8 and up add a divisibility prune that keeps the scan tractable:
-    for a stable D every singleton is a realizable switching set, realizable
-    sets are closed under the relabelling-twisted symmetric difference, so
-    all 2^(n-1) set pairs are realizable and the switch-isomorphism group --
-    a subgroup of Aut(underlying) -- has order |Aut(D)| * 2^(n-1).  Hence
-    2^(n-1) must divide the underlying automorphism order.  Orders up to 7
-    stay a plain scan so the small cases do not depend on that argument.
-    The order must lie in the "stable" row of CLASS_BOUNDS; its heavy gate
-    is the caller's to apply.
+    Orders 8 and up also skip u by a divisibility prune: for a stable D every
+    singleton is a realizable switching set, realizable sets are closed under
+    the relabelling-twisted symmetric difference, so all 2^(n-1) set pairs
+    are realizable and the switch-isomorphism group -- a subgroup of
+    Aut(underlying) -- has order |Aut(D)| * 2^(n-1).  Hence 2^(n-1) must
+    divide the underlying automorphism order.  Orders up to 7 do not depend
+    on that argument.  The order must lie in the "stable" row of
+    CLASS_BOUNDS; its heavy gate is the caller's to apply.
     """
     generate.check_orders("stable", n, n, heavy=True)
     found: list[Digraph] = []
@@ -69,13 +71,17 @@ def classify_stable_connected(n: int) -> list[Digraph]:
         if n >= _STABLE_PRUNE_MIN_N and aut.order % (1 << (n - 1)):
             continue
         space = generate.orientation_space(u)
-        xs = space.reps_array()
-        # most classes fail at vertex 0 already, so test that card first
-        xs = xs[space.orbit_min_array(space.switched_array(xs, 0)) == xs]
-        stable = xs[(card_table(space, xs) == xs).all(axis=0)]
-        found.extend(space.digraph(int(x)) for x in stable)
+        found.extend(space.digraph(int(x)) for x in _stable_minima(space))
     found.sort(key=canon.canonical_code)
     return found
+
+
+def _stable_minima(space):
+    """A space's stable orbit minima, ascending, by classify_stable_connected's argument."""
+    xs = space.self_card_strings(0)
+    if len(xs):  # most spaces have none: skip their actions
+        xs = _np.unique(space.orbit_min_array(xs))
+    return xs[(card_table(space, xs) == xs).all(axis=0)]
 
 
 def is_switching_stable_set(graphs: Iterable[Digraph]) -> bool:

@@ -77,6 +77,17 @@ def least_per_class(space, domain) -> list[int]:
     return sorted(least_by_code(space, domain).values())
 
 
+def stable_by_scan(space):
+    """The orbit minima of a space whose every card is their own class,
+    ascending, by a scan of every orbit minimum: those whose card at vertex
+    0 is their own class, then those whose every card is."""
+    from switchdeck.spaces import card_table
+
+    xs = space.reps_array()
+    xs = xs[space.orbit_min_array(space.switched_array(xs, 0)) == xs]
+    return xs[(card_table(space, xs) == xs).all(axis=0)]
+
+
 def full_refine(n: int, out, inn, cells: list[list[int]]) -> list[list[int]]:
     """Equitable refinement by recounting every vertex against every cell.
 

@@ -109,11 +109,11 @@ def test_criterion_2_stable_classification():
         for n in range(1, 8):
             found.extend(classify_stable_connected(n))
         assert [format_digraph6(g) for g in found] == ["&@?", "&AO", "&CWOG"]
-        assert c.elapsed <= 10, f"took {c.elapsed:.1f}s, budget 10s"
+        assert c.elapsed <= 4, f"took {c.elapsed:.1f}s, budget 4s"
         scope = "n<=7"
         if HEAVY:
             assert classify_stable_connected(8) == []
-            assert c.elapsed <= 7200
+            assert c.elapsed <= 36, f"took {c.elapsed:.1f}s, budget 36s"
             scope = "n<=8"
         c.detail = (f"exactly 3 stable connected oriented graphs for {scope} "
                     f"in {c.elapsed:.1f}s")

@@ -4,24 +4,30 @@ from __future__ import annotations
 
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from switchdeck import catalog, stability
-from switchdeck.canon import aut_group_undirected, canonical_code, is_isomorphic
+from switchdeck import catalog, generate, stability
+from switchdeck.canon import OrientationSpace, aut_group_undirected, canonical_code, is_isomorphic
 from switchdeck.digraph import (
     Digraph,
     Permutation,
+    UnderlyingGraph,
     VertexSet,
     apply_perm,
     disjoint_union,
     format_digraph6,
     from_arcs,
+    is_connected,
     is_weakly_connected,
     underlying,
 )
 from switchdeck.errors import HypothesisUnmet, OutOfRange
+from switchdeck.spaces import card_table
+from switchdeck.generate import TournamentSpace
 from switchdeck.stability import (
+    _stable_minima,
     _switch_span_basis,
     check_stable_set_bound,
     classify_stable_connected,
@@ -34,6 +40,7 @@ from switchdeck.stability import (
 )
 from switchdeck.switching import switch_set, switch_vertex
 
+from ._oracles import stable_by_scan
 from .conftest import digraphs
 
 K1 = Digraph(1, (0,))
@@ -262,3 +269,74 @@ def test_divisibility_prune_keeps_the_three_small_stable_graphs(monkeypatch):
     monkeypatch.setattr(stability, "_STABLE_PRUNE_MIN_N", 2)
     found = [g for n in range(1, 8) for g in classify_stable_connected(n)]
     assert [format_digraph6(g) for g in found] == ["&@?", "&AO", "&CWOG"]
+
+
+def graph(n: int, edges) -> UnderlyingGraph:
+    adj = [0] * n
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return UnderlyingGraph(n, tuple(adj))
+
+
+# order-8 graphs with large automorphism groups; of these the stable
+# classification's divisibility prune lets only K4,4 through
+ORDER_8_GRAPHS = {
+    "C8": graph(8, [(i, (i + 1) % 8) for i in range(8)]),
+    "Q3": graph(8, [(a, a | 1 << k) for a in range(8) for k in range(3) if not a >> k & 1]),
+    "K4,4": graph(8, [(a, b) for a in range(4) for b in range(4, 8)]),
+    "K1,7": graph(8, [(0, b) for b in range(1, 8)]),
+}
+
+
+def test_stable_minima_match_the_scan_of_every_orbit_minimum():
+    """On every connected underlying graph of order 3..7 with a nontrivial
+    automorphism group, and on the order-8 graphs above, the stable minima
+    solved from self_card_strings(0) are the scan's; and up to order 6, at
+    every vertex v, the orbit minima of self_card_strings(v) hold every
+    orbit minimum whose card at v is its own class."""
+    cases = [generate.orientation_space(u) for n in range(3, 8)
+             for u in generate.gen_underlying_graphs(n)
+             if is_connected(u) and aut_group_undirected(u).order > 1]
+    assert sum(isinstance(space, OrientationSpace) for space in cases) == 837
+    assert sum(isinstance(space, TournamentSpace) for space in cases) == 5
+    cases += [OrientationSpace(u) for u in ORDER_8_GRAPHS.values()]
+    assert [s.aut.order for s in cases[-4:]] == [16, 48, 1152, 5040]
+    found = []
+    for space in cases:
+        stable = _stable_minima(space)
+        assert np.array_equal(stable, stable_by_scan(space))
+        found.extend(space.digraph(int(x)) for x in stable)
+        if space.n > 6:
+            continue
+        reps = space.reps_array()
+        for v, cards in enumerate(card_table(space, reps)):
+            minima = np.unique(space.orbit_min_array(space.self_card_strings(v)))
+            own = minima[space.orbit_min_array(space.switched_array(minima, v)) == minima]
+            assert np.array_equal(own, reps[cards == reps])
+    assert [format_digraph6(g) for g in found] == ["&CWOG"]
+
+
+def test_self_card_strings_are_the_strings_whose_switch_keeps_their_class():
+    """Against canonical codes of every string and its switch at every
+    vertex: every OrientationSpace of order 1..5, where an isolated vertex
+    flips no edge and so every string qualifies through the identity, and
+    every TournamentSpace of order 1..6."""
+    isolated = 0
+    for n in range(1, 6):
+        for u in generate.gen_underlying_graphs(n):
+            space = OrientationSpace(u)
+            graphs = [space.digraph(x) for x in range(1 << space.m)]
+            for v in range(n):
+                want = [x for x, g in enumerate(graphs)
+                        if canonical_code(switch_vertex(g, v)) == canonical_code(g)]
+                assert space.self_card_strings(v).tolist() == want
+                isolated += space.m > 0 and u.degree(v) == 0
+    assert isolated
+    for n in range(1, 7):
+        space = TournamentSpace(n)
+        graphs = [space.digraph(x) for x in range(space.count())]
+        for v in range(n):
+            want = [x for x, g in enumerate(graphs)
+                    if canonical_code(switch_vertex(g, v)) == canonical_code(g)]
+            assert space.self_card_strings(v).tolist() == want
