@@ -6,36 +6,32 @@ adjacency bit-string over all relabellings compatible with iterated
 their components' codes in sorted order.  Codes are plain bytes and totally
 ordered; equal codes mean isomorphic digraphs.
 
-The search computes the in-masks once and tests connectivity on them, so a
-connected digraph (every tournament among them) never builds a component
-split.  Its refinement recounts each vertex only against the cells that
+The search's refinement recounts each vertex only against the cells that
 changed since the last round, after McKay and Piperno ("Practical graph
 isomorphism II", J. Symb. Comput. 2014), but keeps every split's children
-in the place and sorted order a recount against every cell gives: the
-refinement-compatible orders, the least leaf and so every code stay those
-of the full recount (see _stable_partition).
+in the place and sorted order a recount against every cell gives, so every
+code stays that of the full recount (see _stable_partition).
 
-One cached search per graph (_canonical_search over _search) gives codes,
-groups and the undirected generator's pruning, after the same paper.  A leaf
-with the first leaf's rows gives the automorphism first[i] -> leaf[i], which
-fixes the path the two leaves share (splits keep leaf positions) and maps
-the first path's next vertex to the other's.  A node skips each later child
-in the orbit of its explored children under the automorphisms found that
-fix its path.  Such a subtree is the image of an explored, earlier one, so
-the least rows, the first leaf giving them and a leaf with the first leaf's
+One cached search per graph (_canonical_search over _search) gives codes
+and automorphism groups, after the same paper.  A leaf with the first
+leaf's rows gives the automorphism first[i] -> leaf[i], which fixes the
+path the two leaves share (splits keep leaf positions) and maps the first
+path's next vertex to the other's.  A node skips each later child in the
+orbit of its explored children under the automorphisms found that fix its
+path.  Such a subtree is the image of an explored, earlier one, so the
+least rows, the first leaf giving them and a leaf with the first leaf's
 rows still turn up.  So the automorphisms found that fix the first k path
 vertices reach the orbit of the next one under their stabiliser, and one
 element per orbit point and level, multiplied, lists the group once.
 
-tournament_codes gives the same codes for many tournaments at once: numpy
-refines all their root partitions together, a discrete one is the code, and
-only the others run the search.
+batch_codes gives these codes (class names, for disconnected graphs) for many
+tournaments or undirected graphs of order <= 8 at once, in numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import and_
 from typing import NamedTuple
 
@@ -250,54 +246,93 @@ def canonical_code(g: Digraph) -> CanonicalCode:
     return bytes([n]) + (acc << (size * 8 - n * n)).to_bytes(size, "big")
 
 
-def tournament_codes(outs):
-    """Canonical codes of tournaments on n <= 8 vertices, one uint64 per row
-    of an (N, n) uint8 array of out-masks: the code's bytes after the order
-    byte, read big-endian, so integer order is code order.
+# batch_codes' individualisation depth below the root, and tree nodes per pass
+_BATCH_DEPTH = 4
+_BATCH_NODES = 1 << 13
 
-    All rows refine together, in synchronous rounds.  A round keys each
-    vertex on its cell index, then its out-counts against every cell in
-    cell order, and gives it the rank of its key among its row's keys as
-    its new cell index.  The cell index leads the key, so cells split in
-    place, their children sorted by counts: the full recount whose buckets
-    and order _stable_partition's incremental rounds give.  _canonical_search
-    passes inn=None for a tournament, so out-counts are the whole key.  The
-    counts are the base-8 digits of the sum of 8^(n - 1 - cell) over a
-    vertex's out-neighbours; no count exceeds 7, so no digit carries.  A row
-    stays active only while its partition grows, so each row ends at
-    _search's root partition.  Where that is discrete it is the search's
-    only leaf, and the code is the adjacency matrix relabelled in cell
-    order.  Any other row goes through canonical_code.
+
+def batch_codes(outs):
+    """Canonical codes of symmetric digraphs or tournaments on n <= 8
+    vertices, one per row of an (N, n) uint8 array of out-masks, as
+    canonical_code's bytes after the order byte read big-endian, and per
+    row one vertex order giving the code (position i holds vertex order[i]).
+
+    Each row's _search tree is expanded, all rows at once, _BATCH_DEPTH
+    individualisations deep, and the code is the least relabelled matrix
+    over its leaves; a row with a node still not discrete there takes
+    canonical_code and _canonical_search instead.  Three arguments:
+
+    - The least leaf is _search's code: _visit's automorphism pruning skips
+      only subtrees whose leaves repeat ones already explored.
+    - The rounds give _stable_partition's cells.  Individualising v in cell
+      c gives cell + (cell > c) + ((cell == c) & (w != v)), [v] just before
+      the rest of c as in _visit.  A round keys each vertex on its cell,
+      then its out-counts against every cell in cell order (the base-8
+      digits of the sum of 8^(n - 1 - cell) over its out-neighbours, none
+      above 7), and ranks the keys: cells split in place, children sorted
+      by counts, the full recount _stable_partition's incremental rounds
+      equal.  _canonical_search passes inn=None for both kinds of row.
+    - Disconnected rows are safe.  There the least leaf names the class but
+      is not canonical_code's code, which composes component codes, so
+      callers deduplicate by code and recode the disconnected classes they
+      keep.  Codes cannot collide: equal codes mean equal relabelled
+      matrices, and connectivity and capping are isomorphism invariants.
     """
     rows, n = outs.shape
-    arcs = (outs[:, :, None] >> _np.arange(n, dtype=_np.uint8) & 1).astype(_np.intp)
-    cell = _np.zeros((rows, n), dtype=_np.intp)
-    size = _np.ones(rows, dtype=_np.intp)
-    active = _np.arange(rows)
-    while active.size:
-        c = cell[active]
-        keys = c << 3 * n | _np.matmul(arcs[active], 1 << 3 * (n - 1 - c)[:, :, None])[:, :, 0]
-        order = _np.argsort(keys, axis=1)
-        ranked = _np.take_along_axis(keys, order, axis=1)
-        rank = _np.zeros_like(c)
-        _np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=rank[:, 1:])
-        _np.put_along_axis(c, order, rank, axis=1)
-        grown = rank[:, -1] + 1
-        refining = (grown > size[active]) & (grown < n)
-        cell[active] = c
-        size[active] = grown
-        active = active[refining]
-    perm = _np.argsort(cell, axis=1)
-    relabelled = _np.take_along_axis(outs, perm, axis=1)
-    matrix = relabelled[:, :, None] >> perm[:, None, :].astype(_np.uint8) & 1
-    code_bytes = (n * n + 7) >> 3
-    packed = _np.zeros((rows, 8), dtype=_np.uint8)
-    packed[:, 8 - code_bytes:] = _np.packbits(matrix.reshape(rows, n * n), axis=1)
-    codes = packed.view(">u8")[:, 0].astype(_np.uint64)
-    for r in _np.flatnonzero(size < n).tolist():
-        code = canonical_code(Digraph(n, tuple(outs[r].tolist())))
-        codes[r] = int.from_bytes(code[1:], "big")
-    return codes
+    codes = _np.full(rows, _np.iinfo(_np.uint64).max, dtype=_np.uint64)
+    orders = _np.zeros((rows, n), dtype=_np.intp)
+    capped = _np.zeros(rows, dtype=bool)
+    bits = _np.arange(n, dtype=_np.uint8)
+    todo = [(0, _np.arange(rows), _np.zeros((rows, n), dtype=_np.int32))]
+    while todo:
+        depth, row, cell = todo.pop()
+        if len(row) > _BATCH_NODES:
+            todo += [(depth, row[s:s + _BATCH_NODES], cell[s:s + _BATCH_NODES])
+                     for s in range(0, len(row), _BATCH_NODES)]
+            continue
+        row, cell = row[~capped[row]], cell[~capped[row]]
+        out = outs[row]
+        arcs = (out[:, :, None] >> bits & 1).astype(_np.int32)
+        # cells are ranked 0, 1, ..., so a node is a leaf when its top rank is n - 1
+        active = _np.flatnonzero(cell.max(axis=1, initial=-1) < n - 1)
+        while active.size:
+            c = cell[active]
+            top = c.max(axis=1)
+            weight = _np.int32(1) << 3 * (n - 1) - 3 * c
+            keys = c << 3 * n | _np.matmul(arcs[active], weight[:, :, None])[:, :, 0]
+            order = _np.argsort(keys, axis=1)
+            ranked = _np.take_along_axis(keys, order, axis=1)
+            rank = _np.zeros_like(c)
+            _np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=rank[:, 1:])
+            _np.put_along_axis(c, order, rank, axis=1)
+            cell[active] = c
+            active = active[(rank[:, -1] > top) & (rank[:, -1] < n - 1)]
+        leaf = cell.max(axis=1, initial=-1) == n - 1
+        # each row's least leaf in this pass, kept where it beats the row's best
+        perm = _np.argsort(cell[leaf], axis=1)
+        bit = _np.take_along_axis(out[leaf], perm, axis=1)[:, :, None] >> bits[perm][:, None] & 1
+        packed = _np.zeros((len(perm), 8), dtype=_np.uint8)
+        packed[:, 8 - ((n * n + 7) >> 3):] = _np.packbits(bit.reshape(len(perm), n * n), axis=1)
+        found = packed.view(">u8")[:, 0].astype(_np.uint64)
+        at = row[leaf]
+        least = _np.lexsort((found, at))
+        least = least[_np.unique(at[least], return_index=True)[1]]
+        least = least[found[least] < codes[at[least]]]
+        codes[at[least]], orders[at[least]] = found[least], perm[least]
+        row, cell = row[~leaf], cell[~leaf]
+        if depth == _BATCH_DEPTH:
+            capped[row] = True
+        elif len(cell):
+            ranked = _np.sort(cell, axis=1)
+            first = _np.where(ranked[:, 1:] == ranked[:, :-1], ranked[:, 1:], n).min(axis=1)
+            node, v = _np.nonzero(cell == first[:, None])
+            c, f = cell[node], first[node, None]
+            todo.append((depth + 1, row[node], c + (c > f) + ((c == f) & (bits != v[:, None]))))
+    for r in _np.flatnonzero(capped).tolist():
+        g = Digraph(n, tuple(outs[r].tolist()))
+        codes[r] = int.from_bytes(canonical_code(g)[1:], "big")
+        orders[r] = _canonical_search(g)[1]
+    return codes, orders
 
 
 def code_to_digraph(code: CanonicalCode) -> Digraph:
@@ -330,24 +365,17 @@ def is_isomorphic(g: Digraph, h: Digraph) -> bool:
     return canonical_code(g) == canonical_code(h)
 
 
-def _generators(u: UnderlyingGraph):
-    """Generators of Aut(u) and the path of the search that found them: the
-    canonical search of u's symmetric digraph, or _search's where that split u."""
-    found = _canonical_search(Digraph(u.n, u.adj))[2]
-    if found is None:
-        return _search(u.n, u.adj, None)[2:]
-    return found or ((), ())
-
-
 @lru_cache(maxsize=1 << 14)
 def aut_group_undirected(u: UnderlyingGraph) -> AutGroup:
     """Every automorphism of an undirected graph on at most 16 vertices,
     ascending by image, off the stabiliser chain of a search of the whole
-    graph (see the module docstring)."""
+    graph (see the module docstring): the canonical search of u's symmetric
+    digraph, or _search's where that split u."""
     if u.n > AUT_MAX_N:
         raise OutOfRange(f"order {u.n} exceeds automorphism cap {AUT_MAX_N}")
     n = u.n
-    gens, path = _generators(u)
+    found = _canonical_search(Digraph(n, u.adj))[2]
+    gens, path = _search(n, u.adj, None)[2:] if found is None else found or ((), ())
     elements = [tuple(range(n))]
     for k, base in enumerate(path):
         fixing = [g for g in gens if all(g[p] == p for p in path[:k])]
@@ -361,11 +389,6 @@ def aut_group_undirected(u: UnderlyingGraph) -> AutGroup:
                     todo.append(g[x])
         elements = [tuple(e[y] for y in r) for e in elements for r in reps.values()]
     return AutGroup(tuple(Permutation(e) for e in sorted(elements)))
-
-
-def edge_list(u: UnderlyingGraph) -> list[tuple[int, int]]:
-    """Edges in lexicographic order; this is the fixed edge order for orientations."""
-    return sorted(u.edges())
 
 
 class Action(NamedTuple):
@@ -384,7 +407,7 @@ class Action(NamedTuple):
 class OrientationSpace:
     """Orientations of a fixed underlying graph, as m-bit integers.
 
-    Bit (m-1-i) of an integer stores the direction of edge i in edge_list
+    Bit (m-1-i) of an integer stores the direction of edge i in lexicographic
     order, so integer order equals lexicographic order on direction vectors.
     Orbit minima under the automorphism group of the underlying graph pick
     one labelled orientation per isomorphism class.
@@ -392,15 +415,14 @@ class OrientationSpace:
 
     def __init__(self, u: UnderlyingGraph):
         self.n = u.n
-        self.edges = edge_list(u)
+        self.edges = sorted(u.edges())
         self.m = m = len(self.edges)
+        self.domain_total = 1 << m
         self.aut = aut_group_undirected(u)
         index = {e: i for i, e in enumerate(self.edges)}
-        perms = []
+        self._perms = perms = []  # (srcpos, flip) of each non-identity automorphism
         for p in self.aut.elements[1:]:  # the identity comes first
-            img = p.image
-            srcpos = [0] * m
-            flip = 0
+            img, srcpos, flip = p.image, [0] * m, 0
             for i, (a, b) in enumerate(self.edges):
                 a2, b2 = img[a], img[b]
                 j = index[(a2, b2)] if a2 < b2 else index[(b2, a2)]
@@ -408,6 +430,18 @@ class OrientationSpace:
                 if a2 > b2:
                     flip |= 1 << (m - 1 - j)
             perms.append((tuple(srcpos), flip))
+        self.vertex_images = _np.array([p.image for p in self.aut.elements[1:]],
+                                       dtype=_np.intp).reshape(-1, self.n)
+        # vertex v flips the edges at v
+        self.flips = _np.zeros(self.n, dtype=_np.uint64)
+        for i, (a, b) in enumerate(self.edges):
+            self.flips[[a, b]] |= _np.uint64(1 << (m - 1 - i))
+
+    @cached_property
+    def actions(self) -> list[Action]:
+        """One Action per non-identity automorphism, its byte tables built on
+        first use: count and self_card_strings read only srcpos and flip."""
+        perms, m = self._perms, self.m
         # one 256-entry table per input byte, at least one so that an
         # edgeless space still maps everything to 0
         nbytes = max(1, -(-m // 8))
@@ -421,18 +455,7 @@ class OrientationSpace:
             h = 1 << t
             _np.bitwise_xor(tables[:, :, :h], bit_image[:, :, t, None], out=tables[:, :, h:2 * h])
         tables[:, 0, :] ^= _np.array([flip for _, flip in perms], dtype=_np.uint64)[:, None]
-        self.actions = [Action(srcpos, flip, tables[a])
-                        for a, (srcpos, flip) in enumerate(perms)]
-        self.vertex_images = _np.array([p.image for p in self.aut.elements[1:]],
-                                       dtype=_np.intp).reshape(-1, self.n)
-        # vertex v flips the edges at v
-        self.flips = _np.zeros(self.n, dtype=_np.uint64)
-        for i, (a, b) in enumerate(self.edges):
-            self.flips[[a, b]] |= _np.uint64(1 << (m - 1 - i))
-
-    @property
-    def domain_total(self) -> int:
-        return 1 << self.m
+        return [Action(*perm, table) for perm, table in zip(perms, tables)]
 
     def act_array(self, action: Action, xs):
         """The action's image of each orientation in a uint64 array: one
@@ -475,9 +498,9 @@ class OrientationSpace:
 
     def count(self) -> int:
         """Class count by Burnside: P(x) ^ flip fixes each x with P(x) ^ x = flip."""
-        fixed = sum(1 << len(solved[1]) for action in self.actions
-                    if (solved := self._cycle_solve(action.srcpos, action.flip)))
-        return ((1 << self.m) + fixed) // (len(self.actions) + 1)
+        fixed = sum(1 << len(solved[1]) for srcpos, flip in self._perms
+                    if (solved := self._cycle_solve(srcpos, flip)))
+        return ((1 << self.m) + fixed) // (len(self._perms) + 1)
 
     def self_card_strings(self, v: int):
         """The strings x whose switch x ^ flips[v] is h(x) for an automorphism
@@ -487,8 +510,8 @@ class OrientationSpace:
         if not f:
             return _np.arange(1 << self.m, dtype=_np.uint64)
         found = [_np.empty(0, dtype=_np.uint64)]
-        for action in self.actions:
-            solved = self._cycle_solve(action.srcpos, action.flip ^ f)
+        for srcpos, flip in self._perms:
+            solved = self._cycle_solve(srcpos, flip ^ f)
             if solved:
                 xs = _np.array(solved[:1], dtype=_np.uint64)
                 for cycle in solved[1]:

@@ -385,7 +385,7 @@ def _shape_signed(shape):
     return classes, (_np.arange(len(classes)), sig0, _mix64(h), has_own)
 
 
-def _shape_members(shape, slots, classes):
+def _shape_members(shape, classes):
     """(sorted cards, sorted comps, row) of each class row.
 
     A comp is one component class as (kind, k, orbit minimum).  The multiset
@@ -393,10 +393,10 @@ def _shape_members(shape, slots, classes):
     only replaces one component by its switched class, so a card is the
     sorted comps with that one swapped, read through the part's card(x, v).
     """
-    space_of = {part: sp for part, (sp, _) in zip(shape, slots)}
+    space_of = {part: generate._part_space(part) for part in shape}
+    reps = [spaces.tabulated_reps(space_of[part]) for part in shape]
     for row in classes.tolist():
-        key = tuple(sorted((kind, k, reps[j]) for (kind, k), (_, reps), j
-                           in zip(shape, slots, row)))
+        key = tuple(sorted((kind, k, r[j]) for (kind, k), r, j in zip(shape, reps, row)))
         cards: list[tuple] = []
         for i, (kind, k, x) in enumerate(key):
             if i and key[i - 1] == key[i]:
@@ -423,10 +423,9 @@ def _census_one_shape(shape, ts: Sequence[int]) -> tuple[list[Family], int]:
     for t in ts:
         cand = _candidates(lambda: [chunk], t, len(classes))
         if cand:
-            slots = generate._shape_slots(shape)
             families.extend(_exact_families(
-                "maxdeg2", t, _shape_members(shape, slots, classes[cand]),
-                lambda row: generate._union(slots, row)))
+                "maxdeg2", t, _shape_members(shape, classes[cand]),
+                lambda row: generate._union(shape, row)))
     return families, len(classes)
 
 

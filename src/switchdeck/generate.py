@@ -6,24 +6,23 @@ shape come from orbit-minimal integers.  A max-degree-2 class is a row of
 _shape_rows, its components' indices among their parts' orbit minima: the
 one enumeration of a shape's classes, which the census signs too.
 Tournaments and undirected graphs grow level by level, a vertex or an edge
-at a time: each level keeps the first child per canonical code, its parents
-taken in code order, and is sorted by code.  A tournament level is one grid
-of children, coded by canon.tournament_codes; its class table also gives
-each class's cards: TournamentSpace, where orientation_space sends K_n.
+at a time: each level is one grid of children, its parents taken in code
+order, coded by canon.batch_codes; _level keeps the first child per class
+and sorts them by code.  A tournament level's class table also gives each
+class's cards: TournamentSpace, where orientation_space sends K_n.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, groupby
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as _np
 
 from . import canon, spaces
-from .digraph import EMPTY, Digraph, UnderlyingGraph, disjoint_union
+from .digraph import Digraph, UnderlyingGraph, disjoint_union, in_masks
 from .errors import HeavyFlagRequired, OutOfRange
-from .switching import switch_vertex
 
 # label -> (n_min, n_max, heavy_over): the orders each class supports, in the
 # census, gen and stable commands alike; orders above heavy_over need heavy
@@ -148,37 +147,44 @@ def _shape_rows(shape: tuple[Part, ...]):
     return rows
 
 
-def _shape_slots(shape: tuple[Part, ...]):
-    """(space, orbit minima) of each slot of a shape."""
-    return [(sp, spaces.tabulated_reps(sp)) for sp in map(_part_space, shape)]
+@lru_cache(maxsize=1 << 16)
+def _part_digraph(part: Part, j: int) -> Digraph:
+    """The digraph of a part's j-th orbit minimum, decoded once."""
+    return _part_space(part).digraph(spaces.tabulated_reps(_part_space(part))[j])
 
 
-def _union(slots, row: Iterable[int]) -> Digraph:
-    """The class a row of _shape_rows names, over its shape's _shape_slots."""
-    return disjoint_union(*[sp.digraph(reps[j]) for (sp, reps), j in zip(slots, row)])
+def _union(shape: tuple[Part, ...], row: Iterable[int]) -> Digraph:
+    """The class a row of _shape_rows names."""
+    return disjoint_union(*map(_part_digraph, shape, row))
 
 
 def gen_oriented_maxdeg2(n: int) -> Iterator[Digraph]:
     """One representative per orientation class over all max-degree-2 shapes."""
     check_orders("maxdeg2", n, n, heavy=True, n_max=MAXDEG2_SHAPE_MAX_N)
     for shape in maxdeg2_shapes(n):
-        slots = _shape_slots(shape)
         for row in _shape_rows(shape).tolist():
-            yield _union(slots, row)
+            yield _union(shape, row)
 
 
-def _next_level(level: list[Digraph], children: Callable[[Digraph], Iterable[Digraph]]):
-    """The next level: the first child per canonical code, parents taken in
-    order, sorted by code."""
-    first: dict[bytes, Digraph] = {}
-    for parent in level:
-        for child in children(parent):
-            first.setdefault(canon.canonical_code(child), child)
-    return [first[code] for code in sorted(first)]
-
-
-# rows per canon.tournament_codes call, so that no temporary grows with a level
-_LEVEL_SLICE = 4096
+def _level(grid):
+    """The classes in a grid of children, symmetric digraphs or tournaments
+    as (N, n) uint8 out-masks: their canonical codes ascending, the grid
+    index of each class's first child, and each child's class.  Children
+    are classed by canon.batch_codes, so canonical_code runs only on the
+    kept disconnected classes, whose batch codes are not canonical."""
+    codes, first, inverse = _np.unique(canon.batch_codes(grid)[0], return_index=True,
+                                       return_inverse=True)
+    kept, n = grid[first], grid.shape[1]
+    arcs = (kept[:, :, None] >> _np.arange(n, dtype=_np.uint8) & 1).astype(bool)
+    # (I + A)^(2^i) links every two vertices of a connected row once 2^i >= n - 1
+    reach = arcs | arcs.transpose(0, 2, 1) | _np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):
+        reach = reach @ reach
+    for c in _np.flatnonzero(~reach[:, 0].all(axis=1)).tolist():
+        code = canon.canonical_code(Digraph(n, tuple(kept[c].tolist())))
+        codes[c] = int.from_bytes(code[1:], "big")
+    order = _np.argsort(codes)
+    return codes[order], first[order], _np.argsort(order)[inverse]
 
 
 def _tournament_level(n: int):
@@ -189,29 +195,25 @@ def _tournament_level(n: int):
     k = n - 1 vertices and a k-bit pattern q, has the new vertex k beating
     exactly the vertices in the bits of q: out[v] = P.out[v] | 1 << k unless
     q has bit v, and out[k] = q.  The children of all parents are one grid in
-    (parent, pattern) order.  kept holds the first child per code as (code,
-    parent index, pattern, child), sorted by code, with the code as
-    canon.tournament_codes gives it; rows[i, q] is the index in kept of the
-    class of Child(parents[i], q).
+    (parent, pattern) order, classed by _level.  kept holds the first child
+    per code as (code, parent index, pattern, child), sorted by code, with
+    the code as canon.batch_codes gives it; rows[i, q] is the index in kept
+    of the class of Child(parents[i], q).
     """
-    level = [EMPTY]
     outs = _np.zeros((1, 0), dtype=_np.uint8)
     for k in range(n):
         patterns = _np.arange(1 << k, dtype=_np.uint8)
         beaten = (patterns[:, None] >> _np.arange(k, dtype=_np.uint8) & 1) == 0
-        grid = _np.empty((len(level), 1 << k, k + 1), dtype=_np.uint8)
+        grid = _np.empty((len(outs), 1 << k, k + 1), dtype=_np.uint8)
         grid[:, :, :k] = outs[:, None, :] | beaten * _np.uint8(1 << k)
         grid[:, :, k] = patterns
         grid = grid.reshape(-1, k + 1)
-        codes = _np.concatenate([canon.tournament_codes(grid[s:s + _LEVEL_SLICE])
-                                 for s in range(0, len(grid), _LEVEL_SLICE)])
-        codes, first, inverse = _np.unique(codes, return_index=True, return_inverse=True)
-        parents = level
-        outs = grid[first]
-        level = [Digraph(k + 1, tuple(row)) for row in outs.tolist()]
-    kept = [(code, f >> k, f & ((1 << k) - 1), g)
-            for code, f, g in zip(codes.tolist(), first.tolist(), level)]
-    return parents, kept, inverse.reshape(len(parents), 1 << k)
+        codes, first, inverse = _level(grid)
+        parents, outs = outs, grid[first]
+    kept = [(code, f >> k, f & ((1 << k) - 1), Digraph(n, tuple(row)))
+            for code, f, row in zip(codes.tolist(), first.tolist(), outs.tolist())]
+    return ([Digraph(k, tuple(row)) for row in parents.tolist()], kept,
+            inverse.reshape(len(parents), 1 << k))
 
 
 def gen_tournaments(n: int) -> Iterator[Digraph]:
@@ -236,33 +238,29 @@ def _tournament_cards(n: int, parents, kept, rows):
       reverses v's arcs inside P_i and its arc to k;
     - relabelling gives a known child: if pi carries Q onto P_j, then pi
       extended by k -> k carries Child(Q, q') onto Child(P_j, pi(q')), where
-      pi(q') = {pi(w) : w in q'}.  Equal codes give equal canonical forms, so
-      pi = canonical_perm(P_j)^-1 o canonical_perm(Q) does this.
+      pi(q') = {pi(w) : w in q'}.
 
-    So the card of T at v < k is rows[j, pi(q ^ 1 << v)], with (j, pi) from
-    one order-(n - 1) search of switch(P_i, v) per parent and vertex, and the
-    card at k is rows[i, ~q]: as an index, ~q counts from the row's end.
+    So the card of T at v < k is rows[j, pi(q ^ 1 << v)], and the card at k
+    is rows[i, ~q]: as an index, ~q counts from the row's end.  One
+    canon.batch_codes call on the parents and every switch(P_i, v) gives j
+    by code, and pi from orders carrying both onto one canonical form.
     """
-    k = n - 1
-    index = {canon.canonical_code(p): j for j, p in enumerate(parents)}
-    # order[j][pos]: the vertex of P_j at position pos of its canonical form
-    order = [sorted(range(k), key=canon.canonical_perm(p).image.__getitem__) for p in parents]
-    # target[i, v] = j and image[i, v, w] = pi(w) for switch(P_i, v)
-    target = _np.zeros((len(parents), k), dtype=_np.intp)
-    image = _np.zeros((len(parents), k, k), dtype=_np.intp)
-    for i, p in enumerate(parents):
-        for v in range(k):
-            sw = switch_vertex(p, v)
-            j = target[i, v] = index[canon.canonical_code(sw)]
-            image[i, v] = [order[j][pos] for pos in canon.canonical_perm(sw).image]
-    parent = _np.array([i for _, i, _, _ in kept], dtype=_np.intp)
-    pattern = _np.array([q for _, _, q, _ in kept], dtype=_np.intp)
-    switched = pattern[:, None] ^ 1 << _np.arange(k)
-    held = switched[:, :, None] >> _np.arange(k) & 1
-    cards = _np.empty((len(kept), n), dtype=_np.uint64)
-    cards[:, :k] = rows[target[parent], (held << image[parent]).sum(axis=2)]
-    cards[:, k] = rows[parent, ~pattern]
-    return cards
+    k, p = n - 1, len(parents)
+    outs = _np.array([g.out for g in parents], dtype=_np.uint8).reshape(p, k)
+    # switch(P_i, v): v's out-mask becomes its in-mask, the others gain or lose v
+    bits = _np.arange(k, dtype=_np.uint8)
+    sw = outs[:, None, :] ^ (1 << bits)[:, None]
+    sw[:, bits, bits] = _np.array(list(map(in_masks, parents)), dtype=_np.uint8).reshape(p, k)
+    codes, orders = canon.batch_codes(_np.concatenate([outs, sw.reshape(p * k, k)]))
+    # target[i, v] = j and image[i, v, w] = pi(w) for switch(P_i, v): w sits at
+    # position pos(w) of the switch's canonical form, vertex orders[j][pos(w)] of P_j
+    target = _np.searchsorted(codes[:p], codes[p:]).reshape(p, k)
+    pos = _np.argsort(orders[p:], axis=1).reshape(p, k, k)
+    image = _np.take_along_axis(orders[:p][target], pos, axis=2)
+    parent, pattern = _np.array([(i, q) for _, i, q, _ in kept], dtype=_np.intp).reshape(-1, 2).T
+    held = (pattern[:, None] ^ 1 << _np.arange(k))[:, :, None] >> _np.arange(k) & 1
+    return _np.column_stack([rows[target[parent], (held << image[parent]).sum(axis=2)],
+                             rows[parent, ~pattern]]).astype(_np.uint64)
 
 
 class TournamentSpace:
@@ -300,46 +298,25 @@ class TournamentSpace:
         return self._kept[x]
 
 
-def _edge_children(g: Digraph) -> Iterator[Digraph]:
-    """g, the symmetric digraph of an undirected graph, plus one edge: the
-    lex-first non-edge of each orbit under the generators canon found.
-
-    Pruning by any subgroup H of Aut(g) gives the output of no pruning: h in
-    H carries g + e onto g + h(e), so the non-edges giving code c are a union
-    of H-orbits, parent i's first one is the lex-first of its orbit, and
-    _next_level keeps the first child of the first parent per code.
-    """
-    n = g.n
-    gens, _ = canon._generators(UnderlyingGraph(n, g.out))
-    tried: set[tuple[int, int]] = set()
-    for a, b in combinations(range(n), 2):
-        if g.out[a] >> b & 1 or (a, b) in tried:
-            continue
-        tried.add((a, b))
-        todo = [(a, b)]
-        for x, y in todo:
-            images = {(min(p[x], p[y]), max(p[x], p[y])) for p in gens} - tried
-            tried |= images
-            todo.extend(images)
-        out = list(g.out)
-        out[a] |= 1 << b
-        out[b] |= 1 << a
-        yield Digraph(n, tuple(out))
-
-
 def gen_underlying_graphs(n: int) -> Iterator[UnderlyingGraph]:
     """One representative per isomorphism class of undirected graphs.
 
     Level-wise edge augmentation: each level holds the classes with one edge
-    more than the last, deduplicated by canonical code (of the symmetric
-    digraph) and sorted by it, so classes arrive by edge count, then code.
+    more than the last, sorted by canonical code (of the symmetric digraph),
+    so classes arrive by edge count, then code.  A level's children are one
+    grid in (parent, non-edge) order, non-edges lexicographic, for _level.
     """
     check_orders("underlying", n, n)
-    level = [Digraph(n, (0,) * n)]
-    while level:
-        for g in level:
-            yield UnderlyingGraph(n, g.out)
-        level = _next_level(level, _edge_children)
+    # the edge of each pair, as the out-masks it adds
+    edge = _np.array([[(v == a) << b | (v == b) << a for v in range(n)]
+                      for a, b in combinations(range(n), 2)], dtype=_np.uint8).reshape(-1, n)
+    level = _np.zeros((1, n), dtype=_np.uint8)
+    while len(level):
+        for row in level.tolist():
+            yield UnderlyingGraph(n, tuple(row))
+        parent, pair = _np.nonzero(~(level[:, None] & edge).any(axis=2))
+        grid = level[parent] | edge[pair]
+        level = grid[_level(grid)[1]]
 
 
 def orientation_space(u: UnderlyingGraph):

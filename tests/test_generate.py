@@ -150,8 +150,8 @@ def test_tournament_level_codes_match_the_canonical_search():
         parents, kept, rows = generate._tournament_level(n)
         assert parents == (list(gen_tournaments(n - 1)) if n > 1 else [EMPTY])
         children = [c for p in parents for c in _children(p)]
-        codes = canon.tournament_codes(
-            np.array([c.out for c in children], dtype=np.uint8)).tolist()
+        codes = canon.batch_codes(
+            np.array([c.out for c in children], dtype=np.uint8))[0].tolist()
         checked = range(len(children))
         if n == 8:
             discrete = [x for x, c in enumerate(children) if _root_is_discrete(c)]
@@ -196,12 +196,24 @@ def _underlying_lines_digest() -> str:
     return digest.hexdigest()
 
 
-def test_underlying_generator_order_matches_the_pinned_digest(monkeypatch):
-    """Pruning by the generators the canonical search found, and pruning by
-    none of them, give the pinned lines (see generate._edge_children)."""
+def test_underlying_generator_order_matches_the_pinned_digest():
     assert _underlying_lines_digest() == UNDERLYING_LINES_SHA256
-    monkeypatch.setattr(canon, "_generators", lambda u: ((), ()))
+
+
+def test_levels_are_unchanged_with_no_batch_individualisation(monkeypatch):
+    """With canon._BATCH_DEPTH at 0 every row whose root partition is not
+    discrete takes the scalar search, so the expansion below the root is
+    pruned away: the underlying lines keep their digest and the tournament
+    levels and cards of orders 1..7 stay as they are."""
+    levels = [generate._tournament_level(n) for n in range(1, 8)]
+    cards = [TournamentSpace(n).cards.tolist() for n in range(1, 8)]
+    monkeypatch.setattr(canon, "_BATCH_DEPTH", 0)
     assert _underlying_lines_digest() == UNDERLYING_LINES_SHA256
+    for n, (parents, kept, rows) in enumerate(levels, 1):
+        got_parents, got_kept, got_rows = generate._tournament_level(n)
+        assert got_parents == parents and got_kept == kept
+        assert got_rows.tolist() == rows.tolist()
+    assert [TournamentSpace(n).cards.tolist() for n in range(1, 8)] == cards
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -260,8 +272,8 @@ def test_every_bounds_row_rejects_its_edges_before_enumerating(label, monkeypatc
     def enumerated(*args, **kwargs):
         raise AssertionError(f"{label} enumerated before its order check")
 
-    for owner, name in ((generate, "_next_level"), (generate, "_tournament_level"),
-                        (canon, "tournament_codes"), (census, "_space_census"),
+    for owner, name in ((generate, "_level"), (generate, "_tournament_level"),
+                        (canon, "batch_codes"), (census, "_space_census"),
                         (census, "_census_one_shape"), (census, "_census_reduced_span")):
         monkeypatch.setattr(owner, name, enumerated)
     n_min, n_max, heavy_over = CLASS_BOUNDS[label]
