@@ -8,14 +8,14 @@ Two engines give every class a 64-bit signature of its t-deck: the wrapping
 sum of a mixed class id per card, adjusted per t by the mixed id of the class
 itself.  _space_census walks the orbit-minimum representatives of paths,
 cycles, digon cycles, tournaments and the orientations of each underlying
-graph in domain chunks, with card ids from card_table.  _census_one_shape
-signs every class of one max-degree-2 component shape at once, over the
-rows of generate._shape_rows that gen maxdeg2 also reads: a class is a
-multiset of component classes, its id the wrapping sum of their ids, and
-each card swaps one component for its switch, read from the part's card
-rows.  Equal t-decks always give equal signatures, so every family lies
-inside a set of colliding signatures, and _candidates picks exactly the
-classes whose signature another class shares.
+graph in domain chunks, with card ids from card_table.  _census_shapes
+signs every max-degree-2 class of one order in one pass, whole component
+shapes at a time, over the rows of generate._shape_rows that gen maxdeg2
+also reads: a class is a multiset of component classes, its id the
+wrapping sum of their ids, and each card swaps one component for its
+switch, read from the part's card rows.  Equal t-decks always give equal
+signatures, so every family lies inside a set of colliding signatures, and
+_candidates picks exactly the classes whose signature another class shares.
 
 Only those candidates reach the exact step, _exact_families: each brings its
 sorted cards (card_table rows, or the component classes of a max-degree-2
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
-from itertools import chain, groupby
+from itertools import accumulate, chain
 from math import comb
 from typing import Callable, Iterable, Sequence
 
@@ -360,29 +360,81 @@ def _part_table(part):
     return rows, _part_hash(part, _np.arange(len(rows), dtype=_np.uint64))
 
 
-def _shape_signed(shape):
-    """(classes, signed chunk) of one shape.
+def _order_tables(shapes):
+    """(base, u, cards, start): order-wide component tables of the parts of
+    some shapes.
 
-    classes is generate._shape_rows(shape): one row per class, the row of
-    each slot's component among its part's orbit minima.  A class hashes to
-    H, the wrapping sum of its component ids u; the card that switches slot
-    s at v has H - u[s] + u[card], so sig0 sums the mixed hashes of all of
-    them and own_mix is the mixed H.  has_own marks the classes with a card
-    equal to their own slot's row.
+    The j-th orbit minimum of a part is component base[part] + j, with
+    component id u.  The k cards of component c are components too, listed
+    flat in cards from start[c] on, in vertex order.
     """
-    classes = generate._shape_rows(shape)
-    runs = [(*_part_table(part), len(list(same))) for part, same in groupby(shape)]
-    owns = _np.split(classes, _np.cumsum([m for _, _, m in runs[:-1]]), axis=1)
-    h = _np.zeros(len(classes), dtype=_np.uint64)
-    for own, (_, u, _) in zip(owns, runs):
-        h += u[own].sum(axis=1)
-    sig0 = _np.zeros(len(classes), dtype=_np.uint64)
-    has_own = _np.zeros(len(classes), dtype=bool)
-    for own, (rows, u, _) in zip(owns, runs):
-        cards = rows[own]
-        sig0 += _mix64((h[:, None] - u[own])[:, :, None] + u[cards]).sum(axis=(1, 2))
-        has_own |= (cards == own[:, :, None]).any(axis=(1, 2))
-    return classes, (_np.arange(len(classes)), sig0, _mix64(h), has_own)
+    base, us, flat, starts = {}, [], [], []
+    comps = size = 0
+    for part in sorted({part for shape in shapes for part in shape}):
+        rows, u = _part_table(part)
+        base[part] = comps
+        us.append(u)
+        flat.append((rows + comps).ravel())
+        starts.append(size + part[1] * _np.arange(len(rows)))
+        comps += len(rows)
+        size += rows.size
+    return (base, _np.concatenate(us),
+            *(_np.concatenate(x, dtype=_np.int32) for x in (flat, starts)))
+
+
+def _shape_groups(shapes, base):
+    """Consecutive whole shapes in groups of at most _CARD_COLUMNS classes
+    (or one shape with more), as lists of (shape, own) pairs.  own has one
+    row per class, in generate._shape_rows order, and one column per card:
+    the component that card switches, slot by slot, n columns in all."""
+    group: list = []
+    size = 0
+    for shape in shapes:
+        rows = generate._shape_rows(shape)
+        if group and size + len(rows) > _CARD_COLUMNS:
+            yield group
+            group, size = [], 0
+        slot = [s for s, (_, k) in enumerate(shape) for _ in range(k)]
+        group.append((shape, _np.add(rows[:, slot], [base[shape[s]] for s in slot],
+                                     dtype=_np.int32)))
+        size += len(rows)
+    yield group
+
+
+def _shape_signed(shapes) -> tuple[list, list[int]]:
+    """(signed chunks, offsets) of every class of one order's shapes.
+
+    Class i of shape s has the order-wide index offsets[s] + i, and each
+    chunk signs one _shape_groups group, one card column at a time, so only
+    the component and vertex tables span all n columns.  A class hashes to
+    H, the wrapping sum of its component ids u, one per slot.  The card that
+    switches component c at v has H - u[c] + u[card], so sig0 sums the mixed
+    hashes of all n cards and own_mix is the mixed H; has_own marks the
+    classes with a card equal to the component it switches.
+    """
+    base, u, cards, start = _order_tables(shapes)
+    held: list = []
+    offsets = [0]
+    for group in _shape_groups(shapes, base):
+        counts = [len(own) for _, own in group]
+        first = offsets[-1]
+        offsets += [first + end for end in accumulate(counts)]
+        # (n, classes): each card's component, and the vertex it switches
+        own = _np.concatenate([own.T for _, own in group], axis=1)
+        vertex = _np.repeat(_np.array(
+            [[v for _, k in shape for v in range(k)] for shape, _ in group],
+            dtype=_np.uint8).T, counts, axis=1)
+        group.clear()   # the suspended generator still holds this list
+        # each slot's component enters H once, at its vertex-0 card
+        h = sum(_np.where(v, _np.uint64(0), u[o]) for o, v in zip(own, vertex))
+        sig0 = _np.zeros_like(h)
+        has_own = _np.zeros(len(h), dtype=bool)
+        for o, v in zip(own, vertex):
+            card = cards[start[o] + v]
+            has_own |= card == o
+            sig0 += _mix64(h - u[o] + u[card])
+        held.append((_np.arange(first, offsets[-1]), sig0, _mix64(h), has_own))
+    return held, offsets
 
 
 def _shape_members(shape, classes):
@@ -411,22 +463,33 @@ def _shape_members(shape, classes):
         yield cards, key, row
 
 
-def _census_one_shape(shape, ts: Sequence[int]) -> tuple[list[Family], int]:
-    """Group one component shape by t-deck on the signature engine.
+def _census_shapes(n: int, ts: Sequence[int]) -> tuple[list[Family], int]:
+    """Group every max-degree-2 class of order n by t-deck on the signature
+    engine.
 
-    Every class of the shape is signed at once from its parts' card rows
-    (_shape_signed); only the classes whose t-deck signature collides reach
-    the exact step, with their cards spelled out as component classes.
+    All classes are signed at once (_shape_signed), and _candidates sorts
+    their keys once per t.  Each candidate goes back to its shape by the
+    shapes' class offsets; only shapes with candidates rebuild their rows,
+    and their candidates reach the exact step with cards spelled out as
+    component classes.  Families come out by shape, then by t.
     """
-    classes, chunk = _shape_signed(shape)
-    families: list[Family] = []
+    shapes = generate.maxdeg2_shapes(n)
+    held, offsets = _shape_signed(shapes)
+    found: dict[int, list] = {}
     for t in ts:
-        cand = _candidates(lambda: [chunk], t, len(classes))
-        if cand:
+        cand = _np.array(_candidates(lambda: held, t, offsets[-1]), dtype=_np.int64)
+        which = _np.searchsorted(offsets, cand, side="right") - 1
+        for s in dict.fromkeys(which.tolist()):
+            found.setdefault(s, []).append((t, cand[which == s] - offsets[s]))
+    families: list[Family] = []
+    for s in sorted(found):
+        shape = shapes[s]
+        classes = generate._shape_rows(shape)
+        for t, rows in found[s]:
             families.extend(_exact_families(
-                "maxdeg2", t, _shape_members(shape, classes[cand]),
+                "maxdeg2", t, _shape_members(shape, classes[rows]),
                 lambda row: generate._union(shape, row)))
-    return families, len(classes)
+    return families, offsets[-1]
 
 
 def _stable_paddings(t: int) -> list[tuple[int, int, int]]:
@@ -514,8 +577,7 @@ def _all_oriented_tasks(n: int, ts: Sequence[int]) -> list[Callable[[], tuple[li
 # above the shape ceiling have none, the reduced span covers them
 CENSUS_UNITS: dict[str, Callable[[int, list[int]], list[Callable]]] = {
     **{label: _space_tasks(label) for label in _SPACES},
-    "maxdeg2": lambda n, ts: ([lambda s=s: _census_one_shape(s, ts)
-                               for s in generate.maxdeg2_shapes(n)]
+    "maxdeg2": lambda n, ts: ([lambda: _census_shapes(n, ts)]
                               if n <= MAXDEG2_SHAPE_MAX_N else []),
     "all-oriented": _all_oriented_tasks,
 }
@@ -527,8 +589,8 @@ def run_census(class_label: str, n_range: tuple[int, int], t_range=None,
 
     shard=(i, k) keeps every k-th work unit starting at i; units never split
     a family, so shard outputs merge losslessly via merge_reports.  Units are
-    whole orders for the string classes and tournaments, component shapes or
-    residue orders for maxdeg2, and underlying classes for all-oriented.
+    whole orders for the string classes, tournaments and maxdeg2 (residue
+    orders above the shape ceiling), and underlying classes for all-oriented.
     """
     t0 = time.monotonic()
     lo, hi = n_range

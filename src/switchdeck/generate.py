@@ -138,13 +138,18 @@ def _shape_rows(shape: tuple[Part, ...]):
     Two disjoint unions are isomorphic exactly when their component class
     multisets agree, so each run of m equal parts takes the m-multisets of
     its indices, the last run varying fastest, and every class comes once.
+    The rows fill a mixed-radix array with one axis per run, each run's
+    multisets broadcast along the later axes.
     """
-    rows = _np.zeros((1, 0), dtype=_np.intp)
-    for part, same in groupby(shape):
-        combos = _multisets(len(spaces.tabulated_reps(_part_space(part))), len(list(same)))
-        rows = _np.hstack([_np.repeat(rows, len(combos), axis=0),
-                           _np.tile(combos, (len(rows), 1))])
-    return rows
+    runs = [_multisets(len(spaces.tabulated_reps(_part_space(part))), len(list(same)))
+            for part, same in groupby(shape)]
+    rows = _np.empty((*(len(combos) for combos in runs), len(shape)), dtype=_np.intp)
+    col = 0
+    for axis, combos in enumerate(runs):
+        m = combos.shape[1]
+        rows[..., col:col + m] = combos.reshape(len(combos), *(1,) * (len(runs) - 1 - axis), m)
+        col += m
+    return rows.reshape(-1, len(shape))
 
 
 @lru_cache(maxsize=1 << 16)

@@ -140,7 +140,7 @@ def test_criterion_3_maxdeg2_census():
             wide = run_census("maxdeg2", (1, 30), (0, 0), heavy=True)
             assert sorted(f.members for f in wide.families) == \
                 sorted(f.members for f in report.families)
-            assert c.elapsed <= 4 * 3600
+            assert c.elapsed <= 1400, f"took {c.elapsed:.1f}s, budget 1400s"
             reach = "n<=30, no new families"
         c.detail = f"44 graphs in 29 pairs ({reach}) in {c.elapsed:.1f}s"
 

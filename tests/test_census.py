@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -329,12 +330,14 @@ def test_every_plain_deck_family_order_is_divisible_by_four(
 
 
 def test_shards_partition_the_search():
-    whole = run_census("cycles", (3, 9), (-1, None))
-    parts = [run_census("cycles", (3, 9), (-1, None), shard=(i, 3))
-             for i in range(3)]
-    merged = merge_reports(parts)
-    assert family_keyset(merged) == family_keyset(whole)
-    assert merged.counts == whole.counts
+    """maxdeg2 units are whole orders below the shape ceiling, so its shards
+    must still keep every family in one unit."""
+    for label, nr in (("cycles", (3, 9)), ("maxdeg2", (1, 10))):
+        whole = run_census(label, nr, (-1, None))
+        parts = [run_census(label, nr, (-1, None), shard=(i, 3)) for i in range(3)]
+        merged = merge_reports(parts)
+        assert family_keyset(merged) == family_keyset(whole), label
+        assert merged.counts == whole.counts, label
 
 
 def test_chunked_and_regenerated_engine_paths_match_the_default(monkeypatch):
@@ -617,6 +620,49 @@ def test_orientation_count_matches_the_rep_scan():
             assert space.count() == len(space.reps_array())
 
 
+def report_body(report: SearchReport) -> dict:
+    out = report.to_dict()
+    del out["elapsed_ms"]
+    return out
+
+
+# sha256 of the sort_keys JSON of run_census("maxdeg2", ...).to_dict()
+# without elapsed_ms: every t up to order 12, and criterion 3's run.  They
+# pin the families and counts however the engine splits its work.
+MAXDEG2_REPORT_SHA256 = {
+    ((1, 12), (-1, None)): "c475574e639c244688d2cfd0f00a3fde73729df89e1ae74cf7870c44d0e95494",
+    ((1, 16), (0, 0)): "83402901e5323c70e30ebbd7dcf578b429aef15e69d259248a50d0abfc501274",
+}
+
+
+def test_maxdeg2_reports_match_the_pinned_digests():
+    for (n_range, t_range), want in MAXDEG2_REPORT_SHA256.items():
+        body = json.dumps(report_body(run_census("maxdeg2", n_range, t_range)), sort_keys=True)
+        assert hashlib.sha256(body.encode()).hexdigest() == want, (n_range, t_range)
+
+
+def test_maxdeg2_groups_of_one_class_give_the_default_report(monkeypatch):
+    """With groups capped at one class every shape is signed on its own; the
+    default groups hold many shapes.  Both give the same report."""
+    want = report_body(run_census("maxdeg2", (1, 10), (-1, None)))
+    candidates = census._candidates
+    chunks_seen = []
+
+    def counted(chunks, t, count):
+        chunks_seen.append(len(list(chunks())))
+        return candidates(chunks, t, count)
+
+    monkeypatch.setattr(census, "_candidates", counted)
+    census._census_shapes(10, [0])
+    assert chunks_seen == [1]   # all 106 shapes of order 10 in one chunk
+    chunks_seen.clear()
+    monkeypatch.setattr(census, "_CARD_COLUMNS", 1)
+    assert report_body(run_census("maxdeg2", (1, 10), (-1, None))) == want
+    # one chunk per shape, for each of the n + 2 values of t
+    assert sum(chunks_seen) == sum(len(generate.maxdeg2_shapes(n)) * (n + 2)
+                                   for n in range(1, 11))
+
+
 def test_forced_signature_collisions_still_give_the_exact_report(monkeypatch):
     """A part hash that sees only the parity of a component's row makes most
     classes of a shape collide; the exact step must sort them all out."""
@@ -678,7 +724,7 @@ def test_reduced_span_covers_the_orders_above_the_shape_ceiling(monkeypatch):
         raise AssertionError("shape engine ran above the ceiling")
 
     monkeypatch.setattr(census, "MAXDEG2_SHAPE_MAX_N", 12)
-    monkeypatch.setattr(census, "_census_one_shape", no_shapes)
+    monkeypatch.setattr(census, "_census_shapes", no_shapes)
     report = run_census("maxdeg2", (13, 16))
     assert report.families == []
     assert report.counts == {13: 24302, 14: 53922, 15: 119330, 16: 263447}

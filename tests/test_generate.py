@@ -274,7 +274,7 @@ def test_every_bounds_row_rejects_its_edges_before_enumerating(label, monkeypatc
 
     for owner, name in ((generate, "_level"), (generate, "_tournament_level"),
                         (canon, "batch_codes"), (census, "_space_census"),
-                        (census, "_census_one_shape"), (census, "_census_reduced_span")):
+                        (census, "_census_shapes"), (census, "_census_reduced_span")):
         monkeypatch.setattr(owner, name, enumerated)
     n_min, n_max, heavy_over = CLASS_BOUNDS[label]
     cases = [(n_min - 1, OutOfRange, cli.EXIT_USAGE), (n_max + 1, OutOfRange, cli.EXIT_USAGE)]
