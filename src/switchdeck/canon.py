@@ -26,6 +26,18 @@ element per orbit point and level, multiplied, lists the group once.
 
 batch_codes gives these codes (class names, for disconnected graphs) for many
 tournaments or undirected graphs of order <= 8 at once, in numpy.
+
+aut_groups reads whole automorphism groups off the same batch tree.  A row
+that is not capped at _BATCH_DEPTH has its whole tree expanded, unpruned, and
+the tree is equivariant: refinement and the choice of target cell are
+isomorphism-invariant, and every vertex of the target cell is individualised,
+so an automorphism g maps each leaf to a leaf whose relabelled matrix is the
+same.  Two distinct leaves fix distinct vertex orders (where their paths part,
+each put its own vertex in the same singleton cell, which splits keep in
+place).  So the leaves whose matrix equals the row's least are g(best) for
+the automorphisms g, each once, and best[i] -> leaf[i] over them lists the
+group once.  A capped row's tree stops at the cap, so its leaves may miss
+some automorphisms; such rows take aut_group_undirected.
 """
 
 from __future__ import annotations
@@ -251,37 +263,15 @@ _BATCH_DEPTH = 4
 _BATCH_NODES = 1 << 13
 
 
-def batch_codes(outs):
-    """Canonical codes of symmetric digraphs or tournaments on n <= 8
-    vertices, one per row of an (N, n) uint8 array of out-masks, as
-    canonical_code's bytes after the order byte read big-endian, and per
-    row one vertex order giving the code (position i holds vertex order[i]).
-
-    Each row's _search tree is expanded, all rows at once, _BATCH_DEPTH
-    individualisations deep, and the code is the least relabelled matrix
-    over its leaves; a row with a node still not discrete there takes
-    canonical_code and _canonical_search instead.  Three arguments:
-
-    - The least leaf is _search's code: _visit's automorphism pruning skips
-      only subtrees whose leaves repeat ones already explored.
-    - The rounds give _stable_partition's cells.  Individualising v in cell
-      c gives cell + (cell > c) + ((cell == c) & (w != v)), [v] just before
-      the rest of c as in _visit.  A round keys each vertex on its cell,
-      then its out-counts against every cell in cell order (the base-8
-      digits of the sum of 8^(n - 1 - cell) over its out-neighbours, none
-      above 7), and ranks the keys: cells split in place, children sorted
-      by counts, the full recount _stable_partition's incremental rounds
-      equal.  _canonical_search passes inn=None for both kinds of row.
-    - Disconnected rows are safe.  There the least leaf names the class but
-      is not canonical_code's code, which composes component codes, so
-      callers deduplicate by code and recode the disconnected classes they
-      keep.  Codes cannot collide: equal codes mean equal relabelled
-      matrices, and connectivity and capping are isomorphism invariants.
-    """
+def _batch_tree(outs, ties=False):
+    """Expand every row's search tree for batch_codes and aut_groups: per row
+    the least leaf's code and order, whether the row is capped, and with
+    ties the rows and orders of the uncapped leaves equal to their row's least."""
     rows, n = outs.shape
     codes = _np.full(rows, _np.iinfo(_np.uint64).max, dtype=_np.uint64)
     orders = _np.zeros((rows, n), dtype=_np.intp)
     capped = _np.zeros(rows, dtype=bool)
+    held = []
     bits = _np.arange(n, dtype=_np.uint8)
     todo = [(0, _np.arange(rows), _np.zeros((rows, n), dtype=_np.int32))]
     while todo:
@@ -319,6 +309,9 @@ def batch_codes(outs):
         least = least[_np.unique(at[least], return_index=True)[1]]
         least = least[found[least] < codes[at[least]]]
         codes[at[least]], orders[at[least]] = found[least], perm[least]
+        if ties:  # the leaves tying the running least; a later, lesser leaf voids them
+            tie = found == codes[at]
+            held.append((at[tie], found[tie], perm[tie]))
         row, cell = row[~leaf], cell[~leaf]
         if depth == _BATCH_DEPTH:
             capped[row] = True
@@ -328,11 +321,66 @@ def batch_codes(outs):
             node, v = _np.nonzero(cell == first[:, None])
             c, f = cell[node], first[node, None]
             todo.append((depth + 1, row[node], c + (c > f) + ((c == f) & (bits != v[:, None]))))
+    if not ties:
+        return codes, orders, capped, None
+    at, found, perm = map(_np.concatenate, zip(*held))
+    keep = (found == codes[at]) & ~capped[at]
+    return codes, orders, capped, (at[keep], perm[keep])
+
+
+def batch_codes(outs):
+    """Canonical codes of symmetric digraphs or tournaments on n <= 8
+    vertices, one per row of an (N, n) uint8 array of out-masks, as
+    canonical_code's bytes after the order byte read big-endian, and per
+    row one vertex order giving the code (position i holds vertex order[i]).
+
+    Each row's _search tree is expanded, all rows at once, _BATCH_DEPTH
+    individualisations deep, and the code is the least relabelled matrix
+    over its leaves; a row with a node still not discrete there takes
+    canonical_code and _canonical_search instead.  Three arguments:
+
+    - The least leaf is _search's code: _visit's automorphism pruning skips
+      only subtrees whose leaves repeat ones already explored.
+    - The rounds give _stable_partition's cells.  Individualising v in cell
+      c gives cell + (cell > c) + ((cell == c) & (w != v)), [v] just before
+      the rest of c as in _visit.  A round keys each vertex on its cell,
+      then its out-counts against every cell in cell order (the base-8
+      digits of the sum of 8^(n - 1 - cell) over its out-neighbours, none
+      above 7), and ranks the keys: cells split in place, children sorted
+      by counts, the full recount _stable_partition's incremental rounds
+      equal.  _canonical_search passes inn=None for both kinds of row.
+    - Disconnected rows are safe.  There the least leaf names the class but
+      is not canonical_code's code, which composes component codes, so
+      callers deduplicate by code and recode the disconnected classes they
+      keep.  Codes cannot collide: equal codes mean equal relabelled
+      matrices, and connectivity and capping are isomorphism invariants.
+    """
+    codes, orders, capped, _ = _batch_tree(outs)
+    n = outs.shape[1]
     for r in _np.flatnonzero(capped).tolist():
         g = Digraph(n, tuple(outs[r].tolist()))
         codes[r] = int.from_bytes(canonical_code(g)[1:], "big")
         orders[r] = _canonical_search(g)[1]
     return codes, orders
+
+
+def aut_groups(graphs: list[UnderlyingGraph]) -> list[AutGroup]:
+    """aut_group_undirected of each of a list of graphs of one order, read
+    off one batch_codes tree for orders up to 8 (see the module docstring);
+    capped rows and larger orders take aut_group_undirected itself."""
+    if not graphs or graphs[0].n > 8:
+        return [aut_group_undirected(u) for u in graphs]
+    _, orders, capped, (at, leaves) = _batch_tree(
+        _np.array([u.adj for u in graphs], dtype=_np.uint8), ties=True)
+    # the automorphism best[i] -> leaf[i] of each tied leaf, rows ascending by image
+    images = _np.empty_like(leaves)
+    _np.put_along_axis(images, orders[at], leaves, axis=1)
+    order = _np.lexsort((*images.T[::-1], at))
+    bounds = _np.searchsorted(at[order], _np.arange(len(graphs) + 1)).tolist()
+    elements = [Permutation(tuple(e)) for e in images[order].tolist()]
+    return [aut_group_undirected(u) if capped[r]
+            else AutGroup(tuple(elements[bounds[r]:bounds[r + 1]]))
+            for r, u in enumerate(graphs)]
 
 
 def code_to_digraph(code: CanonicalCode) -> Digraph:
@@ -413,12 +461,13 @@ class OrientationSpace:
     one labelled orientation per isomorphism class.
     """
 
-    def __init__(self, u: UnderlyingGraph):
+    def __init__(self, u: UnderlyingGraph, aut: AutGroup | None = None):
+        """aut, when given, is u's aut_group_undirected, as aut_groups gives it."""
         self.n = u.n
         self.edges = sorted(u.edges())
         self.m = m = len(self.edges)
         self.domain_total = 1 << m
-        self.aut = aut_group_undirected(u)
+        self.aut = aut_group_undirected(u) if aut is None else aut
         index = {e: i for i, e in enumerate(self.edges)}
         self._perms = perms = []  # (srcpos, flip) of each non-identity automorphism
         for p in self.aut.elements[1:]:  # the identity comes first
@@ -433,9 +482,12 @@ class OrientationSpace:
         self.vertex_images = _np.array([p.image for p in self.aut.elements[1:]],
                                        dtype=_np.intp).reshape(-1, self.n)
         # vertex v flips the edges at v
-        self.flips = _np.zeros(self.n, dtype=_np.uint64)
+        flips = [0] * self.n
         for i, (a, b) in enumerate(self.edges):
-            self.flips[[a, b]] |= _np.uint64(1 << (m - 1 - i))
+            bit = 1 << (m - 1 - i)
+            flips[a] |= bit
+            flips[b] |= bit
+        self.flips = _np.array(flips, dtype=_np.uint64)
 
     @cached_property
     def actions(self) -> list[Action]:
@@ -517,7 +569,7 @@ class OrientationSpace:
                 for cycle in solved[1]:
                     xs = _np.concatenate([xs, xs ^ _np.uint64(cycle)])
                 found.append(xs)
-        return _np.unique(_np.concatenate(found))
+        return _np.unique(_np.concatenate(found)) if len(found) > 1 else found[0]
 
     scan_reps = scan_reps
     reps_array = concat_reps

@@ -324,13 +324,13 @@ def gen_underlying_graphs(n: int) -> Iterator[UnderlyingGraph]:
         level = grid[_level(grid)[1]]
 
 
-def orientation_space(u: UnderlyingGraph):
+def orientation_space(u: UnderlyingGraph, aut: canon.AutGroup | None = None):
     """The space of u's orientation classes: TournamentSpace for a complete
-    u, whose cards need no scan, else canon.OrientationSpace(u).  K8 alone
-    would take 40,319 automorphism actions over 2^28 orientations."""
+    u, whose cards need no scan, else canon.OrientationSpace(u, aut).  K8
+    alone would take 40,319 automorphism actions over 2^28 orientations."""
     if u.is_complete():
         return TournamentSpace(u.n)
-    return canon.OrientationSpace(u)
+    return canon.OrientationSpace(u, aut)
 
 
 def gen_all_oriented(n: int) -> Iterator[Digraph]:

@@ -62,25 +62,30 @@ def classify_stable_connected(n: int) -> list[Digraph]:
     """
     generate.check_orders("stable", n, n, heavy=True)
     found: list[Digraph] = []
-    for u in generate.gen_underlying_graphs(n):
-        if not is_connected(u):
-            continue
-        aut = canon.aut_group_undirected(u)
+    for u, aut in _connected_groups(n):
         if n >= 2 and aut.order == 1:
             continue
         if n >= _STABLE_PRUNE_MIN_N and aut.order % (1 << (n - 1)):
             continue
-        space = generate.orientation_space(u)
+        space = generate.orientation_space(u, aut)
         found.extend(space.digraph(int(x)) for x in _stable_minima(space))
     found.sort(key=canon.canonical_code)
     return found
 
 
+def _connected_groups(n: int):
+    """(u, aut_group_undirected(u)) for each connected graph of order n, in
+    generator order, the groups from one canon.aut_groups call."""
+    graphs = [u for u in generate.gen_underlying_graphs(n) if is_connected(u)]
+    return zip(graphs, canon.aut_groups(graphs))
+
+
 def _stable_minima(space):
     """A space's stable orbit minima, ascending, by classify_stable_connected's argument."""
     xs = space.self_card_strings(0)
-    if len(xs):  # most spaces have none: skip their actions
-        xs = _np.unique(space.orbit_min_array(xs))
+    if not len(xs):  # most spaces have none: skip their actions and cards
+        return xs
+    xs = _np.unique(space.orbit_min_array(xs))
     return xs[(card_table(space, xs) == xs).all(axis=0)]
 
 
@@ -257,11 +262,8 @@ def verify_index_identity(n: int) -> dict:
     holds = True
     underlying_checked = 0
     classes_checked = 0
-    for u in generate.gen_underlying_graphs(n):
-        if not is_connected(u):
-            continue
-        aut = canon.aut_group_undirected(u)
-        space = OrientationSpace(u)
+    for u, aut in _connected_groups(n):
+        space = OrientationSpace(u, aut)
         masks = space.flips.tolist()
         if len(_switch_span_basis(masks)) != max(n - 1, 0):
             raise HypothesisUnmet("the switch span of a connected graph has rank n - 1")

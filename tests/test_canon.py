@@ -13,9 +13,11 @@ from hypothesis import given, strategies as st
 from switchdeck import canon
 from switchdeck.canon import (
     AutGroup,
+    OrientationSpace,
     _search,
     _stable_partition,
     aut_group_undirected,
+    aut_groups,
     batch_codes,
     canonical_code,
     canonical_form,
@@ -165,6 +167,66 @@ def test_aut_group_of_every_graph_of_order_7_matches_the_pinned_digest():
         for u in gen_underlying_graphs(n):
             digest.update(repr([p.image for p in aut_group_undirected(u).elements]).encode())
     assert digest.hexdigest() == AUT_GROUPS_SHA256
+
+
+@pytest.mark.parametrize("patch", [{}, {"_BATCH_DEPTH": 1}, {"_BATCH_NODES": 16}],
+                         ids=["default", "depth-1", "16-node-passes"])
+def test_aut_groups_from_the_batch_tree_match_the_scalar_search(monkeypatch, patch):
+    """aut_groups on every graph of orders 1..7, disconnected ones included,
+    and on the order-8 graphs above, against aut_group_undirected, element
+    order included.  Uncapped rows read their group off the tree's leaves;
+    exactly the capped rows (K8 and the empty graph among them) run the
+    scalar search.  At depth 1 every row that needs two individualisations
+    is capped.  Passes of 16 nodes split the trees over many passes, so that
+    some row's least leaf comes after leaves that tied a larger least."""
+    for name, value in patch.items():
+        monkeypatch.setattr(canon, name, value)
+    orders = [list(gen_underlying_graphs(n)) for n in range(1, 8)]
+    orders.append([UnderlyingGraph(8, adj) for adj in ORDER8_GRAPHS.values()])
+    assert sum(map(len, orders)) == 1252 + len(ORDER8_GRAPHS)
+    scalar, capped = [], []
+    for graphs in orders:
+        with monkeypatch.context() as m:
+            m.setattr(canon, "aut_group_undirected",
+                      lambda u: scalar.append(u) or aut_group_undirected(u))
+            groups = aut_groups(graphs)
+        assert [g.elements for g in groups] == [aut_group_undirected(u).elements for u in graphs]
+        outs = np.array([u.adj for u in graphs], dtype=np.uint8)
+        capped += [u for u, cap in zip(graphs, canon._batch_tree(outs)[2]) if cap]
+    assert scalar == capped
+    assert {u.adj for u in scalar} >= {ORDER8_GRAPHS["K8"], ORDER8_GRAPHS["empty"]}
+    assert len(scalar) > 200 if patch.get("_BATCH_DEPTH") == 1 else len(scalar) < 40
+
+
+def test_aut_groups_above_order_8_take_the_scalar_search():
+    """The batch kernel takes at most 8 vertices, so the 9-cycle's group is
+    aut_group_undirected's own; an empty list gives no groups."""
+    c9 = UnderlyingGraph(9, _adj(9, [(i, (i + 1) % 9) for i in range(9)]))
+    assert aut_groups([c9, c9]) == [aut_group_undirected(c9)] * 2
+    assert aut_group_undirected(c9).order == 18
+    assert aut_groups([]) == []
+
+
+def test_orientation_space_built_from_a_given_group_equals_the_default():
+    """OrientationSpace(u, group) against OrientationSpace(u), and the switch
+    flips against the edges at each vertex: every graph of order <= 6 and
+    C8, the cube and the Wagner graph."""
+    graphs = [u for n in range(1, 7) for u in gen_underlying_graphs(n)]
+    graphs += [UnderlyingGraph(8, ORDER8_GRAPHS[name]) for name in ("C8", "cube", "Wagner")]
+    groups = [group for n in (*range(1, 7), 8)
+              for group in aut_groups([u for u in graphs if u.n == n])]
+    for u, group in zip(graphs, groups):
+        given, default = OrientationSpace(u, group), OrientationSpace(u)
+        assert given.aut is group
+        assert given._perms == default._perms
+        assert np.array_equal(given.vertex_images, default.vertex_images)
+        assert [list(p.image) for p in group.elements[1:]] == default.vertex_images.tolist()
+        assert given.flips.dtype == default.flips.dtype == np.uint64
+        assert np.array_equal(given.flips, default.flips)
+        # vertex v flips the bit of each edge at v
+        m = len(default.edges)
+        assert default.flips.tolist() == [
+            sum(1 << (m - 1 - i) for i, e in enumerate(default.edges) if v in e) for v in range(u.n)]
 
 
 @pytest.mark.parametrize("name", ["K8", "empty", "K4,4"])
