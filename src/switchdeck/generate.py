@@ -9,7 +9,7 @@ Tournaments and undirected graphs grow level by level, a vertex or an edge
 at a time: each level is one grid of children, its parents taken in code
 order, coded by canon.batch_codes; _level keeps the first child per class
 and sorts them by code.  A tournament level's class table also gives each
-class's cards: TournamentSpace, where orientation_space sends K_n.
+class's cards: TournamentSpace, K_n's space, whose strings are its classes.
 """
 
 from __future__ import annotations
@@ -269,35 +269,33 @@ def _tournament_cards(n: int, parents, kept, rows):
 
 
 class TournamentSpace:
-    """Tournament classes on n vertices as a space whose domain is the
-    classes themselves, in code order: each x is its own orbit minimum, so
-    there are no actions, and switched_array reads _tournament_cards."""
+    """Tournament classes on n vertices, in code order, as a space whose
+    strings are the classes: each x is its own orbit minimum, and its card
+    at v is cards[x, v], from _tournament_cards."""
 
     def __init__(self, n: int):
         check_orders("tournaments", n, n)
         parents, kept, rows = _tournament_level(n)
         self.n = n
-        self.domain_total = len(kept)
-        self.actions = []
-        self.vertex_images = _np.empty((0, n), dtype=_np.intp)
         self.cards = _tournament_cards(n, parents, kept, rows)
         self._kept = [g for *_, g in kept]
 
-    domain_chunk = spaces.index_chunk
-    orbit_min_array = spaces.group_min
-    scan_reps = spaces.scan_reps
-    reps_array = spaces.concat_reps
+    def orbit_min_array(self, xs, at=None):
+        return xs.copy() if at is None else self.cards[xs, at]
 
-    def switched_array(self, xs, v):
-        return self.cards[xs, v]
+    def scan_reps(self, chunk: int = spaces._CHUNK) -> Iterator:
+        for start in range(0, self.count(), chunk):
+            yield _np.arange(start, min(start + chunk, self.count()), dtype=_np.uint64)
+
+    reps_array = spaces.concat_reps
 
     def self_card_strings(self, v: int):
         """The classes whose card at v is themselves, ascending."""
-        xs = _np.arange(self.domain_total, dtype=_np.uint64)
+        xs = _np.arange(self.count(), dtype=_np.uint64)
         return xs[self.cards[:, v] == xs]
 
     def count(self) -> int:
-        return self.domain_total
+        return len(self._kept)
 
     def digraph(self, x: int) -> Digraph:
         return self._kept[x]

@@ -12,30 +12,24 @@ cycles additionally rotate.
 PathSpace, CycleSpace, canon.OrientationSpace and generate.TournamentSpace
 share one protocol, whose class arithmetic all runs on uint64 arrays:
 
-- domain_total, and domain_chunk(start, stop): the strings at domain
-  indices [start, stop), ascending, which the generic scan_reps filters.  A
-  domain holds the strings that can be orbit minima, not every string:
-  every orientation for paths and OrientationSpace, the strings starting
-  with letter 0 (plus the all-digon string) for cycles, and for
-  TournamentSpace its classes themselves;
-- actions, and act_array(action, xs): the non-identity elements of the
-  relabelling group, and each string's image under one of them;
-- vertex_images: one row per action, the vertex it sends each vertex to;
+- n, count(): the order and the class count, without a scan;
+- scan_reps(chunk): the orbit minima, ascending, in chunks, holding arrays
+  of at most about `chunk` strings; reps_array() joins them;
 - orbit_min_array(xs, at=None): each string's orbit minimum, an exact class
   id, after the string is switched at `at`: an int, or a vertex column that
-  broadcasts against xs.  group_min is the generic kernel, one image per
-  action; CycleSpace has its own, one reflection and one shift per rotation;
-- switched_array(xs, v): each string with vertex v switched, from a uint64
-  flips table built once per space, so v may be an int or an integer array
-  that broadcasts against xs;
-- scan_reps(chunk): the orbit minima, ascending, in chunks, holding arrays
-  of at most about `chunk` strings; reps_array() joins them.  As with
-  orbit_min_array, the module has the generic scan, scan_reps, which
-  shrinks each domain chunk action by action, and CycleSpace has its own,
-  which builds its minima letter by letter as prenecklaces;
-- count(): the class count, without a scan; digraph(x): one string's digraph;
-- self_card_strings(v), on OrientationSpace and TournamentSpace only: the
-  strings whose card at v is their own class, ascending, with no scan.
+  broadcasts against xs;
+- digraph(x): one string's digraph.
+
+PathSpace and OrientationSpace have a relabelling group and bind the generic
+kernels below, group_min and scan_reps, which read what those two spaces
+add: domain_total and domain_chunk(start, stop), the strings that can be
+orbit minima, by index; actions and act_array(action, xs), each
+non-identity relabelling and each string's image under it; vertex_images,
+where each action sends each vertex; and switched_array(xs, v).  CycleSpace
+has its own kernels, and each TournamentSpace string is its own orbit
+minimum.  OrientationSpace and TournamentSpace also give
+self_card_strings(v): the strings whose card at v is their own class,
+ascending, with no scan.
 
 card_table is the one card function over that protocol: the class ids of all
 n cards of each string, from the space's orbit_min_array at every vertex, one
@@ -49,7 +43,6 @@ signature candidates.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cached_property
 from math import gcd
 from typing import Iterable, Iterator
 
@@ -234,11 +227,6 @@ class CycleSpace:
         if digons:
             # low bit of each letter is the direction, high bit the digon flag
             self.low = int("01" * n, 2)
-        # (r, reflect): reflect first if asked, then rotate by r letters
-        self.actions = [(r, False) for r in range(1, n)] + [(r, True) for r in range(n)]
-        vs = _np.arange(n)
-        self.vertex_images = _np.array([((n - vs if reflect else vs) + r) % n
-                                        for r, reflect in self.actions])
         # vertex v flips the direction bits of edges v-1 and v
         self.flips = _np.array([(1 << self.b * (n - 1 - (v - 1) % n)) | (1 << self.b * (n - 1 - v))
                                 for v in range(n)], dtype=_np.uint64)
@@ -252,9 +240,9 @@ class CycleSpace:
             return 3 ** (self.n - 1) + 1
         return 1 << (self.n - 1)
 
-    # only perfbench's tracer and this space's own tests still read the
-    # domain: the census and reps_array take scan_reps, which builds the
-    # cycle orbit minima without it
+    # no library code reads the domain: the census and reps_array take
+    # scan_reps, which builds the cycle orbit minima without it.  It stays
+    # only because perfbench's tracer times it, as spaces.domain_chunk
     def domain_chunk(self, start: int, stop: int):
         """Packed strings for domain indices [start, stop), ascending.  These
         are the strings that can be orbit minima, not every string.  Index
@@ -264,35 +252,13 @@ class CycleSpace:
         if not self.digons:
             return index_chunk(self, start, stop)
         body = 3 ** (self.n - 1)
-        packed = self._unpack(start, min(stop, body))
+        i = _np.arange(start, min(stop, body), dtype=_np.uint64)
+        packed = _np.zeros_like(i)
+        for e in range(self.n - 1):
+            packed |= i // _np.uint64(3 ** e) % _np.uint64(3) << _np.uint64(2 * e)
         if stop > body:
             packed = _np.append(packed, _np.uint64(int("10" * self.n, 2)))
         return packed
-
-    def _unpack(self, start: int, stop: int):
-        """Base-3 indices [start, stop) as packed strings, T[i // 3^h] << 2h
-        | T[i % 3^h] over h low digits, laid out as the rows of the quotient
-        by the columns of the remainder so that no index is divided."""
-        h = (self.n - 1) // 2
-        low = 3 ** h
-        table = self._half_table
-        r0, r1 = start // low, -(-stop // low)
-        grid = (table[r0:r1, None] << _np.uint64(2 * h)) | table[None, :low]
-        return grid.ravel()[start - r0 * low:stop - r0 * low]
-
-    @cached_property
-    def _half_table(self):
-        """T[j]: the ceil((n-1)/2) base-3 digits of j as packed letters."""
-        digits = self.n - 1 - (self.n - 1) // 2
-        j = _np.arange(3 ** digits, dtype=_np.uint64)
-        table = _np.zeros_like(j)
-        for e in range(digits):
-            table |= (j // _np.uint64(3 ** e) % _np.uint64(3)) << _np.uint64(2 * e)
-        return table
-
-    def act_array(self, action, xs):
-        r, reflect = action
-        return self._rotate(self._reflect(xs) if reflect else xs, r)
 
     def orbit_min_array(self, xs, at=None):
         return self._orbit_min_array(xs, at)
@@ -325,8 +291,8 @@ class CycleSpace:
         group_min, from one reflection per call and one shift per rotation.
 
         The orbit of a string y is its n rotations and the n rotations of
-        reflect(y).  Reflection is the action (0, True), whose vertex image
-        is rho(v) = (n - v) mod n, so reflect(switch_v x) = switch_rho(v)(reflect x):
+        reflect(y).  Reflection sends vertex v to rho(v) = (n - v) mod n,
+        so reflect(switch_v x) = switch_rho(v)(reflect x):
         xs is reflected once, and each side is switched once, before
         _least_rotation rotates both."""
         ys = self._reflect(xs)

@@ -84,7 +84,7 @@ def stable_by_scan(space):
     from switchdeck.spaces import card_table
 
     xs = space.reps_array()
-    xs = xs[space.orbit_min_array(space.switched_array(xs, 0)) == xs]
+    xs = xs[space.orbit_min_array(xs, 0) == xs]
     return xs[(card_table(space, xs) == xs).all(axis=0)]
 
 
@@ -205,6 +205,22 @@ def count_paths(n: int) -> int:
     return ((1 << m) + fixed) // 2
 
 
+def _dihedral_maps(n: int) -> list[tuple[list[int], bool]]:
+    """The 2n relabellings of an n-cycle acting on indexed edge states, as
+    (perm, flips): state i moves to index perm[i], and its direction letter
+    is reversed when flips is set.
+
+    Edge i joins vertices (i, i+1); rotation keeps the vertex order, the
+    mirror v -> -v sends edge i to edge n-1-i and reverses it.
+    """
+    maps = []
+    for r in range(n):
+        for refl in (False, True):
+            perm = [(n - 1 - (i + r) % n) % n if refl else (i + r) % n for i in range(n)]
+            maps.append((perm, refl))
+    return maps
+
+
 def _cycle_orbits(n: int, states: int) -> int:
     """Orbits of edge-state strings of an n-cycle under its dihedral group.
 
@@ -212,19 +228,7 @@ def _cycle_orbits(n: int, states: int) -> int:
     digons) doubles it.  Isomorphism = any vertex relabelling preserving the
     cycle, i.e. the 2n rotations/reflections acting on indexed edge states.
     """
-    maps = []
-    for r in range(n):
-        for refl in (False, True):
-            perm = [0] * n
-            flips = False
-            for i in range(n):
-                # edge i joins vertices (i, i+1); rotation keeps the vertex
-                # order, the mirror v -> -v sends edge i to edge n-1-i and
-                # reverses it
-                j = (i + r) % n
-                perm[i] = (n - 1 - j) % n if refl else j
-                flips = refl
-            maps.append((perm, flips))
+    maps = _dihedral_maps(n)
     seen: set[tuple[int, ...]] = set()
     classes = 0
     for s in product(range(states), repeat=n):
@@ -240,6 +244,36 @@ def _cycle_orbits(n: int, states: int) -> int:
                 t[perm[i]] = v
             seen.add(tuple(t))
     return classes
+
+
+def dihedral_min(space, xs, at=None):
+    """Each packed string of a CycleSpace at its orbit minimum, after it is
+    switched at `at` (an int, or an integer array that broadcasts against
+    xs; None switches nothing), by packing the string's image under each of
+    the 2n maps of _dihedral_maps and keeping the least.
+
+    The strings are unpacked into letter arrays, letter 0 the most
+    significant; a switch at v reverses the direction letters of edges v-1
+    and v, and digon letters stay put.
+    """
+    import numpy as np
+
+    n = space.n
+    xs = np.asarray(xs, dtype=np.uint64)
+    if at is not None:
+        xs, at = np.broadcast_arrays(xs, at)
+    shifts = np.uint64(space.b) * np.arange(n - 1, -1, -1, dtype=np.uint64)
+    letters = xs.reshape(-1, 1) >> shifts & np.uint64((1 << space.b) - 1)
+    if at is not None:
+        rows = np.arange(len(letters))
+        for edge in ((at.reshape(-1) - 1) % n, at.reshape(-1) % n):
+            letters[rows, edge] ^= letters[rows, edge] < 2
+    reversed_ = letters ^ (letters < 2)
+    best = None
+    for perm, flips in _dihedral_maps(n):
+        image = np.bitwise_or.reduce((reversed_ if flips else letters) << shifts[perm], axis=1)
+        best = image if best is None else np.minimum(best, image)
+    return best.reshape(xs.shape)
 
 
 def count_cycles(n: int) -> int:

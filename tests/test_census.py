@@ -52,6 +52,7 @@ from ._oracles import (
     ORIENTED,
     PATHS,
     TOURNAMENTS,
+    dihedral_min,
     least_by_code,
     least_per_class,
     orientation_int,
@@ -429,12 +430,17 @@ def test_digon_cycle_domain_is_letter_0_then_the_index_digits_then_all_digons():
 
 
 def test_the_all_digon_string_is_alone_in_the_last_chunk():
+    """The domain's last index holds the all-digon string alone, and the
+    domain strings that are their own orbit minima are the reps."""
     for n in range(3, 9):
         space = CycleSpace(n, digons=True)
-        chunks = list(spaces.scan_reps(space, 3 ** (n - 1)))
-        assert len(chunks) == 2
-        assert chunks[-1].tolist() == [space.from_letters((2,) * n)]
-        assert np.concatenate(chunks).tolist() == space.reps_array().tolist()
+        body = 3 ** (n - 1)
+        assert space.domain_chunk(body, space.domain_total).tolist() == \
+            [space.from_letters((2,) * n)]
+        domain = space.domain_chunk(0, space.domain_total)
+        minima = domain[dihedral_min(space, domain) == domain]
+        assert minima[-1] == space.from_letters((2,) * n)
+        assert minima.tolist() == space.reps_array().tolist()
 
 
 def _ascending_chunks(chunks):
@@ -474,17 +480,18 @@ def test_wide_digon_rep_chunks_are_their_own_orbit_minima(n):
     """Digon orders 17..20 are wider than 32 bits, where the rotation
     kernel takes a second block, and only heavy censuses scan them in full;
     the first chunks at a small chunk size are ascending and each string is
-    its own orbit minimum under the generic kernel."""
+    its own orbit minimum under the dihedral reference."""
     space = CycleSpace(n, digons=True)
     assert space.width > 32
     xs = _ascending_chunks(list(islice(space.scan_reps(3 ** 5), 40)))
-    assert np.array_equal(spaces.group_min(space, xs), xs)
+    assert np.array_equal(dihedral_min(space, xs), xs)
 
 
 def test_space_actions_are_relabellings_and_orbit_min_is_their_least_image():
-    """Each action maps every string to one of the same class, and
-    orbit_min_array, group_min over the actions and the least string of the
-    class agree on every string of the domain, reps or not."""
+    """Each action of a path or orientation space maps every string to one
+    of the same class, and orbit_min_array (group_min over those actions,
+    or the cycle kernel), the dihedral reference on cycles and the least
+    string of the class agree on every string of the domain, reps or not."""
     binary = [PathSpace(n) for n in range(1, 10)]
     binary += [OrientationSpace(u) for n in range(1, 6) for u in gen_underlying_graphs(n)]
     cases = [(space, range(space.domain_total)) for space in binary]
@@ -494,22 +501,22 @@ def test_space_actions_are_relabellings_and_orbit_min_is_their_least_image():
         space = CycleSpace(n, digons=True)
         cases.append((space, [space.from_letters(w) for w in product(range(3), repeat=n)]))
     for space, domain in cases:
-        if isinstance(space, CycleSpace):
-            assert len(space.actions) == 2 * space.n - 1
-        elif isinstance(space, PathSpace):
-            assert len(space.actions) == (1 if space.m else 0)
-        if space.n == 1:
-            assert not space.actions
         domain = list(domain)
         least = least_by_code(space, domain)
         code_of = {x: canonical_code(space.digraph(x)) for x in domain}
         xs = np.array(domain, dtype=np.uint64)
+        want = [least[code_of[x]] for x in domain]
+        assert space.orbit_min_array(xs).tolist() == want
+        if isinstance(space, CycleSpace):
+            assert dihedral_min(space, xs).tolist() == want
+            continue
+        if isinstance(space, PathSpace):
+            assert len(space.actions) == (1 if space.m else 0)
+        if space.n == 1:
+            assert not space.actions
         for action in space.actions:
             images = space.act_array(action, xs).tolist()
             assert [code_of[y] for y in images] == [code_of[x] for x in domain]
-        want = [least[code_of[x]] for x in domain]
-        assert space.orbit_min_array(xs).tolist() == want
-        assert spaces.group_min(space, xs).tolist() == want
 
 
 def test_part_cards_are_the_least_string_of_the_switched_class():
@@ -542,18 +549,25 @@ def _check_card_table(space, domain):
     xs = np.array(list(domain), dtype=np.uint64)
     table = spaces.card_table(space, xs)
     assert table.shape == (space.n, len(xs))
+    for v in range(space.n):
+        assert (table[v] == space.orbit_min_array(xs, v)).all()
+    if isinstance(space, TournamentSpace):
+        return  # its strings are its classes: orbit_min_array(xs, v) is the card
     switched = space.switched_array(xs, np.arange(space.n)[:, None])
     for v in range(space.n):
         assert (switched[v] == space.switched_array(xs, v)).all()
         assert (table[v] == space.orbit_min_array(switched[v])).all()
-        assert (table[v] == spaces.group_min(space, switched[v])).all()
+        if isinstance(space, CycleSpace):
+            assert (table[v] == dihedral_min(space, switched[v])).all()
 
 
 def test_card_table_rows_are_the_orbit_minima_of_each_vertex_switch(monkeypatch):
-    """card_table against one switch and one orbit minimum per vertex, on
-    every string of each space; a broadcast vertex array switches like each
-    vertex on its own.  Slices of 7 columns split every domain unevenly,
-    except at order 6 of OrientationSpace, which keeps the default width."""
+    """card_table against the orbit minimum at each vertex, and against one
+    switch and one orbit minimum per vertex (the dihedral reference on
+    cycles), on every string of each space; a broadcast vertex array
+    switches like each vertex on its own.  Slices of 7 columns split every
+    domain unevenly, except at order 6 of OrientationSpace, which keeps the
+    default width."""
     cases = [(space, range(space.domain_total)) for space in map(PathSpace, range(1, 10))]
     for n, digons in product(range(3, 10), (False, True)):
         space = CycleSpace(n, digons)
@@ -562,6 +576,7 @@ def test_card_table_rows_are_the_orbit_minima_of_each_vertex_switch(monkeypatch)
     orient = [OrientationSpace(u) for n in range(1, 6) for u in gen_underlying_graphs(n)]
     orient += [OrientationSpace(underlying(from_arcs(8, arcs))) for arcs in ORDER8_UNITS.values()]
     cases += [(space, range(space.domain_total)) for space in orient]
+    cases += [(space, range(space.count())) for space in map(TournamentSpace, range(1, 7))]
     with monkeypatch.context() as m:
         m.setattr(spaces, "_CARD_COLUMNS", 7)
         for space, domain in cases:
@@ -571,10 +586,11 @@ def test_card_table_rows_are_the_orbit_minima_of_each_vertex_switch(monkeypatch)
         _check_card_table(space, range(space.domain_total))
 
 
-def test_cycle_kernel_matches_the_generic_kernel_at_every_width():
-    """The cycle kernel against group_min on seeded random strings, switched
-    at nothing, at one vertex and at every vertex.  Digon orders 17..20 are
-    wider than 32 bits, so their rotations take a second block."""
+def test_cycle_kernel_matches_the_dihedral_reference_at_every_width():
+    """The cycle kernel against the dihedral reference on seeded random
+    strings, switched at nothing, at one vertex and at every vertex.  Digon
+    orders 17..20 are wider than 32 bits, so their rotations take a second
+    block."""
     rng = np.random.default_rng(23)
     cases = [CycleSpace(n) for n in range(3, 31)] + [CycleSpace(n, True) for n in range(3, 21)]
     for space in cases:
@@ -582,7 +598,7 @@ def test_cycle_kernel_matches_the_generic_kernel_at_every_width():
         xs = np.array([space.from_letters(w) for w in letters.tolist()], dtype=np.uint64)
         for at in (None, int(rng.integers(space.n)), np.arange(space.n)[:, None]):
             got = space._orbit_min_array(xs, at)
-            want = spaces.group_min(space, xs, at)
+            want = dihedral_min(space, xs, at)
             assert got.shape == want.shape
             assert (got == want).all(), (space.n, space.digons, at)
 

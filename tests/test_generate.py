@@ -111,11 +111,17 @@ def test_tournament_generator_counts(n):
 def test_tournament_space_cards_match_one_search_per_card():
     """Every class of order 1..7: the space's classes are gen_tournaments',
     in order and in ascending code order, and the card at each vertex, read
-    off the last level's child codes, is the class of that vertex switch."""
+    off the last level's child codes, is the class of that vertex switch.
+    scan_reps at chunk sizes 1 and 7 gives uint64 chunks of at most that
+    many classes, which join to reps_array(), as the default chunk does."""
     for n in range(1, 8):
         space = TournamentSpace(n)
         xs = space.reps_array()
-        assert xs.tolist() == list(range(space.count()))
+        assert xs.dtype == np.uint64 and xs.tolist() == list(range(space.count()))
+        for chunk in (1, 7):
+            chunks = list(space.scan_reps(chunk))
+            assert all(c.dtype == np.uint64 and len(c) <= chunk for c in chunks)
+            assert np.array_equal(np.concatenate(chunks), xs)
         graphs = [space.digraph(x) for x in xs.tolist()]
         assert graphs == list(gen_tournaments(n))
         codes = [canonical_code(g) for g in graphs]

@@ -161,3 +161,31 @@ def test_every_name_the_benchmark_reads_exists():
     missing += [f"canon.{attr}" for attr in caches.values()
                 if not hasattr(getattr(canon, attr, None), "cache_info")]
     assert missing == []
+
+
+def test_spaces_share_one_protocol_and_only_generic_kernel_spaces_carry_a_group():
+    """Each space class implements the protocol the spaces docstring lists,
+    and the group members the generic kernels read (actions, act_array,
+    vertex_images) exist on exactly the classes that bind spaces.group_min
+    or spaces.scan_reps."""
+    from switchdeck import spaces
+    from switchdeck.canon import OrientationSpace
+    from switchdeck.digraph import from_arcs, underlying
+    from switchdeck.generate import TournamentSpace
+
+    protocol = ("n", "count", "scan_reps", "reps_array", "orbit_min_array", "digraph")
+    group = ("actions", "act_array", "vertex_images")
+    instances = [spaces.PathSpace(3), spaces.CycleSpace(4), spaces.CycleSpace(4, digons=True),
+                 OrientationSpace(underlying(from_arcs(3, [(0, 1), (1, 2)]))),
+                 TournamentSpace(3)]
+    generic, grouped, lacking = set(), set(), []
+    for space in instances:
+        cls = type(space)
+        lacking += [f"{cls.__name__}.{name}" for name in protocol if not hasattr(space, name)]
+        if cls.orbit_min_array is spaces.group_min or cls.scan_reps is spaces.scan_reps:
+            generic.add(cls.__name__)
+        if any(hasattr(space, name) for name in group):
+            grouped.add(cls.__name__)
+    assert lacking == []
+    assert generic == {"PathSpace", "OrientationSpace"}
+    assert grouped == generic
