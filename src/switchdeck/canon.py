@@ -45,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import and_
-from typing import NamedTuple
 
 import numpy as _np
 
@@ -439,19 +438,6 @@ def aut_group_undirected(u: UnderlyingGraph) -> AutGroup:
     return AutGroup(tuple(Permutation(e) for e in sorted(elements)))
 
 
-class Action(NamedTuple):
-    """One non-identity automorphism acting on orientation integers.
-
-    Output bit m-1-j takes input bit srcpos[j], then the bits in flip (edges
-    mapped against their stored direction) are inverted.  tables[k][b] is
-    the image of input byte k holding b, with flip folded into tables[0].
-    """
-
-    srcpos: tuple[int, ...]
-    flip: int
-    tables: _np.ndarray
-
-
 class OrientationSpace:
     """Orientations of a fixed underlying graph, as m-bit integers.
 
@@ -459,64 +445,62 @@ class OrientationSpace:
     order, so integer order equals lexicographic order on direction vectors.
     Orbit minima under the automorphism group of the underlying graph pick
     one labelled orientation per isomorphism class.
+
+    The group is held once, as arrays over its non-identity automorphisms,
+    row k for aut.elements[k + 1]: vertex_images[k, v] is the image of vertex
+    v, dest[k, i] the edge that edge i goes to, and flip[k] the bits of the
+    edges it maps against their stored direction.  So automorphism k sends x
+    to P(x) ^ flip[k], where P moves the bit of edge i to that of edge
+    dest[k, i].  flips[v] holds the bits of the edges at vertex v, which a
+    switch at v reverses.
     """
 
     def __init__(self, u: UnderlyingGraph, aut: AutGroup | None = None):
         """aut, when given, is u's aut_group_undirected, as aut_groups gives it."""
-        self.n = u.n
+        self.n = n = u.n
         self.edges = sorted(u.edges())
         self.m = m = len(self.edges)
         self.domain_total = 1 << m
         self.aut = aut_group_undirected(u) if aut is None else aut
-        index = {e: i for i, e in enumerate(self.edges)}
-        self._perms = perms = []  # (srcpos, flip) of each non-identity automorphism
-        for p in self.aut.elements[1:]:  # the identity comes first
-            img, srcpos, flip = p.image, [0] * m, 0
-            for i, (a, b) in enumerate(self.edges):
-                a2, b2 = img[a], img[b]
-                j = index[(a2, b2)] if a2 < b2 else index[(b2, a2)]
-                srcpos[j] = m - 1 - i
-                if a2 > b2:
-                    flip |= 1 << (m - 1 - j)
-            perms.append((tuple(srcpos), flip))
         self.vertex_images = _np.array([p.image for p in self.aut.elements[1:]],
-                                       dtype=_np.intp).reshape(-1, self.n)
-        # vertex v flips the edges at v
-        flips = [0] * self.n
-        for i, (a, b) in enumerate(self.edges):
-            bit = 1 << (m - 1 - i)
-            flips[a] |= bit
-            flips[b] |= bit
-        self.flips = _np.array(flips, dtype=_np.uint64)
+                                       dtype=_np.intp).reshape(-1, n)
+        ends = _np.array(self.edges, dtype=_np.intp).reshape(m, 2)
+        index = _np.zeros((n, n), dtype=_np.intp)
+        index[ends[:, 0], ends[:, 1]] = index[ends[:, 1], ends[:, 0]] = _np.arange(m)
+        a, b = self.vertex_images[:, ends[:, 0]], self.vertex_images[:, ends[:, 1]]
+        self.dest = index[a, b]
+        bits = _np.uint64(1) << _np.arange(m - 1, -1, -1, dtype=_np.uint64)
+        self.flip = (bits[self.dest] * (a > b)).sum(axis=1, dtype=_np.uint64)
+        self.flips = _np.zeros(n, dtype=_np.uint64)
+        _np.bitwise_or.at(self.flips, ends.T, bits)
 
     @cached_property
-    def actions(self) -> list[Action]:
-        """One Action per non-identity automorphism, its byte tables built on
-        first use: count and self_card_strings read only srcpos and flip."""
-        perms, m = self._perms, self.m
+    def actions(self) -> _np.ndarray:
+        """The byte tables of each non-identity automorphism, built on first
+        use: actions[k][j][b] is automorphism k's image of input byte j
+        holding b, with flip[k] folded into actions[k][0]."""
+        m = self.m
         # one 256-entry table per input byte, at least one so that an
         # edgeless space still maps everything to 0
         nbytes = max(1, -(-m // 8))
-        src = _np.array([srcpos for srcpos, _ in perms], dtype=_np.intp).reshape(len(perms), m)
-        bit_image = _np.zeros((len(perms), 8 * nbytes), dtype=_np.uint64)
-        bit_image[_np.arange(len(perms))[:, None], src] = \
-            _np.uint64(1) << _np.arange(m - 1, -1, -1, dtype=_np.uint64)
-        bit_image = bit_image.reshape(len(perms), nbytes, 8)
-        tables = _np.zeros((len(perms), nbytes, 256), dtype=_np.uint64)
+        # input bit m-1-i, edge i's, goes to bit m-1-dest[k, i]
+        bit_image = _np.zeros((len(self.dest), 8 * nbytes), dtype=_np.uint64)
+        bit_image[:, :m] = _np.uint64(1) << (m - 1 - self.dest[:, ::-1]).astype(_np.uint64)
+        bit_image = bit_image.reshape(len(self.dest), nbytes, 8)
+        tables = _np.zeros((len(self.dest), nbytes, 256), dtype=_np.uint64)
         for t in range(8):
             h = 1 << t
             _np.bitwise_xor(tables[:, :, :h], bit_image[:, :, t, None], out=tables[:, :, h:2 * h])
-        tables[:, 0, :] ^= _np.array([flip for _, flip in perms], dtype=_np.uint64)[:, None]
-        return [Action(*perm, table) for perm, table in zip(perms, tables)]
+        tables[:, 0, :] ^= self.flip[:, None]
+        return tables
 
-    def act_array(self, action: Action, xs):
-        """The action's image of each orientation in a uint64 array: one
-        table lookup per input byte."""
+    def act_array(self, action, xs):
+        """An automorphism's image of each orientation in a uint64 array, from
+        its byte tables (one row of actions): one table lookup per input byte."""
         b = _np.ascontiguousarray(xs, dtype="<u8").view(_np.uint8)
-        tables = action.tables
-        y = tables[0][b[0::8]]
-        for k in range(1, len(tables)):
-            y ^= tables[k][b[k::8]]
+        y = action[0][b[0::8]]
+        for k in range(1, len(action)):
+            y ^= action[k][b[k::8]]
         return y
 
     orbit_min_array = group_min
@@ -526,50 +510,53 @@ class OrientationSpace:
 
     domain_chunk = index_chunk
 
-    def _cycle_solve(self, srcpos, target: int):
-        """Solve P(x) ^ x = target, P moving bit srcpos[m-1-p] to bit p (an
-        action without its flips).  Along a cycle of P each bit of x is the
-        last one XOR target's bit, so the cycle closes only on an even number
-        of target bits.  None if one does not, else a solution x0 and the
-        cycles' masks: the solutions are x0 XOR their sums."""
-        m, x0, seen, cycles = self.m, 0, 0, []
-        for start in range(m):
-            if seen >> start & 1:
-                continue
-            bit, pos, cycle = 0, start, 0
-            while not cycle >> pos & 1:
-                cycle |= 1 << pos
-                x0 |= bit << pos
-                bit ^= target >> pos & 1
-                pos = srcpos[m - 1 - pos]  # the bit moved to pos
-            if bit:
-                return None
-            seen |= cycle
-            cycles.append(cycle)
-        return x0, cycles
+    def _solutions(self, targets):
+        """Solve P(x) ^ x = targets[k] for each non-identity automorphism k,
+        P moving the bit of edge i to that of edge dest[k, i] (its action
+        without flip[k]), and yield x0 and the cycles' masks for each
+        solvable one: its solutions are x0 XOR their sums.  Along a cycle of
+        P each bit of x is the last one XOR the target's bit there, so the
+        cycle closes only on an even number of target bits.  Passing
+        flip ^ c solves h(x) = x ^ c."""
+        bits = [1 << (self.m - 1 - i) for i in range(self.m)]  # edge i's bit
+        for dest, target in zip(self.dest.tolist(), targets.tolist()):
+            x0, seen, cycles = 0, 0, []
+            for start in range(self.m):
+                if seen & bits[start]:
+                    continue
+                bit, i, cycle = 0, start, 0
+                while not cycle & bits[i]:
+                    cycle |= bits[i]
+                    if bit:
+                        x0 |= bits[i]
+                    i = dest[i]
+                    bit ^= target & bits[i] != 0
+                if bit:
+                    break
+                seen |= cycle
+                cycles.append(cycle)
+            else:
+                yield x0, cycles
 
     def count(self) -> int:
-        """Class count by Burnside: P(x) ^ flip fixes each x with P(x) ^ x = flip."""
-        fixed = sum(1 << len(solved[1]) for srcpos, flip in self._perms
-                    if (solved := self._cycle_solve(srcpos, flip)))
-        return ((1 << self.m) + fixed) // (len(self._perms) + 1)
+        """Class count by Burnside: automorphism k fixes the x with h(x) = x."""
+        fixed = sum(1 << len(cycles) for _, cycles in self._solutions(self.flip))
+        return ((1 << self.m) + fixed) // (len(self.flip) + 1)
 
     def self_card_strings(self, v: int):
         """The strings x whose switch x ^ flips[v] is h(x) for an automorphism
         h, ascending: every string when flips[v] = 0 (h the identity), else
-        the solutions of P(x) ^ x = flip ^ flips[v] over the actions."""
-        f = int(self.flips[v])
+        the solutions of h(x) = x ^ flips[v] over the automorphisms."""
+        f = self.flips[v]
         if not f:
             return _np.arange(1 << self.m, dtype=_np.uint64)
         found = [_np.empty(0, dtype=_np.uint64)]
-        for srcpos, flip in self._perms:
-            solved = self._cycle_solve(srcpos, flip ^ f)
-            if solved:
-                xs = _np.array(solved[:1], dtype=_np.uint64)
-                for cycle in solved[1]:
-                    xs = _np.concatenate([xs, xs ^ _np.uint64(cycle)])
-                found.append(xs)
-        return _np.unique(_np.concatenate(found)) if len(found) > 1 else found[0]
+        for x0, cycles in self._solutions(self.flip ^ f):
+            xs = _np.array([x0], dtype=_np.uint64)
+            for cycle in cycles:
+                xs = _np.concatenate([xs, xs ^ _np.uint64(cycle)])
+            found.append(xs)
+        return _np.unique(_np.concatenate(found))
 
     scan_reps = scan_reps
     reps_array = concat_reps

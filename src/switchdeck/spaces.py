@@ -24,8 +24,10 @@ PathSpace and OrientationSpace have a relabelling group and bind the generic
 kernels below, group_min and scan_reps, which read what those two spaces
 add: domain_total and domain_chunk(start, stop), the strings that can be
 orbit minima, by index; actions and act_array(action, xs), each
-non-identity relabelling and each string's image under it; vertex_images,
-where each action sends each vertex; and switched_array(xs, v).  CycleSpace
+non-identity relabelling and each string's image under it (an action is
+whatever act_array takes: None for PathSpace's one reversal, byte tables
+built from OrientationSpace's dest and flip arrays); vertex_images, where
+each action sends each vertex; and switched_array(xs, v).  CycleSpace
 has its own kernels, and each TournamentSpace string is its own orbit
 minimum.  OrientationSpace and TournamentSpace also give
 self_card_strings(v): the strings whose card at v is their own class,

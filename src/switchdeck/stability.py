@@ -283,13 +283,13 @@ def verify_index_identity(n: int) -> dict:
         # D_W iso D for the identity permutation exactly when the flip is 0
         wmatch = _np.zeros((len(xs), len(farr)), dtype=bool)
         wmatch[:, 0] = True
-        for action in space.actions:
+        for action, flip in zip(space.actions, space.flip):
             y = space.act_array(action, xs)
             aut_counts += y == xs
             delta = xs ^ y
             # act(x ^ f) == x  <=>  delta == gathered f (flip bits follow the
             # same positional permutation as orientation bits)
-            gf = space.act_array(action, farr) ^ _np.uint64(action.flip)
+            gf = space.act_array(action, farr) ^ flip
             wmatch |= delta[:, None] == gf[None, :]
             at = _np.minimum(_np.searchsorted(span, delta), len(span) - 1)
             gamma_counts += span[at] == delta

@@ -8,7 +8,7 @@ module directly to print the oracle table that the test constants freeze.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations, product
 from math import comb, factorial, gcd, prod
 
@@ -69,6 +69,36 @@ def orientation_int(space, g) -> int:
         if g.has_arc(b, a):
             x |= 1 << (space.m - 1 - i)
     return x
+
+
+def edge_map(edges, image) -> tuple[list[int], int]:
+    """Where a vertex relabelling sends each edge of a sorted edge list, one
+    edge at a time: dest[i] is the index of edge i's image, and flip holds
+    bit (m-1-dest[i]) for each edge i whose image runs from high to low."""
+    index = {e: i for i, e in enumerate(edges)}
+    m = len(edges)
+    dest, flip = [], 0
+    for a, b in edges:
+        a2, b2 = image[a], image[b]
+        dest.append(index[(min(a2, b2), max(a2, b2))])
+        if a2 > b2:
+            flip |= 1 << (m - 1 - dest[-1])
+    return dest, flip
+
+
+def orientation_images(edges, image):
+    """The image under a vertex relabelling of every orientation integer of
+    an edge list, as a uint64 array indexed by the integer: edge i's bit
+    moves to edge dest[i]'s, then edge_map's flip reverses its bits."""
+    import numpy as np
+
+    m = len(edges)
+    dest, flip = edge_map(edges, image)
+    xs = np.arange(1 << m, dtype=np.uint64)
+    ys = np.full_like(xs, flip)
+    for i, j in enumerate(dest):
+        ys ^= (xs >> np.uint64(m - 1 - i) & np.uint64(1)) << np.uint64(m - 1 - j)
+    return ys
 
 
 def least_per_class(space, domain) -> list[int]:
@@ -246,11 +276,11 @@ def _cycle_orbits(n: int, states: int) -> int:
     return classes
 
 
-def dihedral_min(space, xs, at=None):
-    """Each packed string of a CycleSpace at its orbit minimum, after it is
-    switched at `at` (an int, or an integer array that broadcasts against
-    xs; None switches nothing), by packing the string's image under each of
-    the 2n maps of _dihedral_maps and keeping the least.
+def dihedral_images(space, xs, at=None):
+    """Each packed string of a CycleSpace under each of the 2n maps of
+    _dihedral_maps in turn, after it is switched at `at` (an int, or an
+    integer array that broadcasts against xs; None switches nothing): one
+    array of images per map, shaped like the switched xs.
 
     The strings are unpacked into letter arrays, letter 0 the most
     significant; a switch at v reverses the direction letters of edges v-1
@@ -269,11 +299,17 @@ def dihedral_min(space, xs, at=None):
         for edge in ((at.reshape(-1) - 1) % n, at.reshape(-1) % n):
             letters[rows, edge] ^= letters[rows, edge] < 2
     reversed_ = letters ^ (letters < 2)
-    best = None
     for perm, flips in _dihedral_maps(n):
         image = np.bitwise_or.reduce((reversed_ if flips else letters) << shifts[perm], axis=1)
-        best = image if best is None else np.minimum(best, image)
-    return best.reshape(xs.shape)
+        yield image.reshape(xs.shape)
+
+
+def dihedral_min(space, xs, at=None):
+    """Each packed string of a CycleSpace at its orbit minimum, after it is
+    switched at `at`: the least of its dihedral_images."""
+    import numpy as np
+
+    return reduce(np.minimum, dihedral_images(space, xs, at))
 
 
 def count_cycles(n: int) -> int:

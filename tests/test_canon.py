@@ -40,7 +40,7 @@ from switchdeck.errors import OutOfRange
 from switchdeck.generate import gen_all_oriented, gen_tournaments, gen_underlying_graphs
 from switchdeck.switching import switch_vertex
 
-from ._oracles import brute_automorphisms, brute_code, full_refine
+from ._oracles import brute_automorphisms, brute_code, edge_map, full_refine, orientation_images
 from .conftest import arcs_for, digraph_pairs, digraphs, graph_and_perm
 
 # SHA-256 over the canonical codes of golden_corpus(), pinned with the
@@ -209,7 +209,8 @@ def test_aut_groups_above_order_8_take_the_scalar_search():
 
 def test_orientation_space_built_from_a_given_group_equals_the_default():
     """OrientationSpace(u, group) against OrientationSpace(u), and the switch
-    flips against the edges at each vertex: every graph of order <= 6 and
+    flips against the edges at each vertex, and dest and flip against one
+    edge at a time from the vertex images: every graph of order <= 6 and
     C8, the cube and the Wagner graph."""
     graphs = [u for n in range(1, 7) for u in gen_underlying_graphs(n)]
     graphs += [UnderlyingGraph(8, ORDER8_GRAPHS[name]) for name in ("C8", "cube", "Wagner")]
@@ -218,7 +219,13 @@ def test_orientation_space_built_from_a_given_group_equals_the_default():
     for u, group in zip(graphs, groups):
         given, default = OrientationSpace(u, group), OrientationSpace(u)
         assert given.aut is group
-        assert given._perms == default._perms
+        assert given.dest.shape == (group.order - 1, len(default.edges))
+        assert np.array_equal(given.dest, default.dest)
+        assert given.flip.dtype == default.flip.dtype == np.uint64
+        assert np.array_equal(given.flip, default.flip)
+        maps = [edge_map(default.edges, image) for image in default.vertex_images.tolist()]
+        assert default.dest.tolist() == [dest for dest, _ in maps]
+        assert default.flip.tolist() == [flip for _, flip in maps]
         assert np.array_equal(given.vertex_images, default.vertex_images)
         assert [list(p.image) for p in group.elements[1:]] == default.vertex_images.tolist()
         assert given.flips.dtype == default.flips.dtype == np.uint64
@@ -267,6 +274,32 @@ def test_canonical_codes_match_the_pinned_digest():
     for g in golden_corpus():
         digest.update(canonical_code(g))
     assert digest.hexdigest() == GOLDEN_CODES_SHA256
+
+
+def test_solutions_are_the_brute_force_solutions_up_to_12_edges():
+    """_solutions against brute force on every graph of order <= 5 and C8,
+    the cube and the Wagner graph (m <= 12): for c = 0 and each switch flip,
+    the targets flip ^ c give, automorphism by automorphism, exactly the
+    strings x with h(x) = x ^ c, skipping the automorphisms that have none;
+    and count() is Burnside's count of the brute-force fixed points."""
+    graphs = [u for n in range(1, 6) for u in gen_underlying_graphs(n)]
+    graphs += [UnderlyingGraph(8, ORDER8_GRAPHS[name]) for name in ("C8", "cube", "Wagner")]
+    for u in graphs:
+        space = OrientationSpace(u)
+        assert space.m <= 12
+        xs = np.arange(1 << space.m, dtype=np.uint64)
+        moved = [orientation_images(space.edges, p.image) ^ xs for p in space.aut.elements[1:]]
+        for c in [np.uint64(0), *space.flips]:
+            got = []
+            for x0, cycles in space._solutions(space.flip ^ c):
+                sums = [0]
+                for cycle in cycles:
+                    sums += [s ^ cycle for s in sums]
+                got.append(sorted(x0 ^ s for s in sums))
+            assert got == [w for w in (np.flatnonzero(d == c).tolist() for d in moved) if w]
+        fixed = sum(int((d == 0).sum()) for d in moved)
+        assert ((1 << space.m) + fixed) % space.aut.order == 0
+        assert space.count() == ((1 << space.m) + fixed) // space.aut.order
 
 
 def test_canonical_perms_match_the_pinned_digest():

@@ -52,6 +52,7 @@ from ._oracles import (
     ORIENTED,
     PATHS,
     TOURNAMENTS,
+    dihedral_images,
     dihedral_min,
     least_by_code,
     least_per_class,
@@ -430,17 +431,26 @@ def test_digon_cycle_domain_is_letter_0_then_the_index_digits_then_all_digons():
 
 
 def test_the_all_digon_string_is_alone_in_the_last_chunk():
-    """The domain's last index holds the all-digon string alone, and the
-    domain strings that are their own orbit minima are the reps."""
-    for n in range(3, 9):
-        space = CycleSpace(n, digons=True)
-        body = 3 ** (n - 1)
-        assert space.domain_chunk(body, space.domain_total).tolist() == \
-            [space.from_letters((2,) * n)]
+    """The digon domain's last index holds the all-digon string alone, and
+    on digon and plain cycles alike the domain strings that are their own
+    orbit minima are the reps."""
+    for n, digons in product(range(3, 9), (False, True)):
+        space = CycleSpace(n, digons)
         domain = space.domain_chunk(0, space.domain_total)
         minima = domain[dihedral_min(space, domain) == domain]
-        assert minima[-1] == space.from_letters((2,) * n)
         assert minima.tolist() == space.reps_array().tolist()
+        if digons:
+            body = 3 ** (n - 1)
+            assert space.domain_chunk(body, space.domain_total).tolist() == \
+                [space.from_letters((2,) * n)]
+            assert minima[-1] == space.from_letters((2,) * n)
+
+
+def test_spaces_below_their_least_order_are_rejected():
+    with pytest.raises(OutOfRange, match="paths need at least one vertex"):
+        PathSpace(0)
+    with pytest.raises(OutOfRange, match="cycles need at least three vertices"):
+        CycleSpace(2)
 
 
 def _ascending_chunks(chunks):
@@ -480,11 +490,17 @@ def test_wide_digon_rep_chunks_are_their_own_orbit_minima(n):
     """Digon orders 17..20 are wider than 32 bits, where the rotation
     kernel takes a second block, and only heavy censuses scan them in full;
     the first chunks at a small chunk size are ascending and each string is
-    its own orbit minimum under the dihedral reference."""
+    its own orbit minimum under the dihedral reference.  Every rotation and
+    reflection of each of them has it as its orbit minimum, so the kernel
+    must reach it from each one: a rotation the kernel leaves out shows
+    there, where it cannot on orbit minima alone."""
     space = CycleSpace(n, digons=True)
     assert space.width > 32
     xs = _ascending_chunks(list(islice(space.scan_reps(3 ** 5), 40)))
     assert np.array_equal(dihedral_min(space, xs), xs)
+    images = np.concatenate(list(dihedral_images(space, xs)))
+    assert len(images) == 2 * n * len(xs)
+    assert np.array_equal(space.orbit_min_array(images), np.tile(xs, 2 * n))
 
 
 def test_space_actions_are_relabellings_and_orbit_min_is_their_least_image():
@@ -513,7 +529,7 @@ def test_space_actions_are_relabellings_and_orbit_min_is_their_least_image():
         if isinstance(space, PathSpace):
             assert len(space.actions) == (1 if space.m else 0)
         if space.n == 1:
-            assert not space.actions
+            assert len(space.actions) == 0
         for action in space.actions:
             images = space.act_array(action, xs).tolist()
             assert [code_of[y] for y in images] == [code_of[x] for x in domain]
@@ -618,8 +634,8 @@ def test_act_array_matches_scalar_act():
             perms = [p for p in space.aut.elements if p.image != tuple(range(n))]
             assert len(space.actions) == len(perms)
             if n == 1:
-                assert not space.actions
-            edgeless_with_actions += space.m == 0 and bool(space.actions)
+                assert len(space.actions) == 0
+            edgeless_with_actions += space.m == 0 and len(space.actions) > 0
             domain = range(space.domain_total)
             xs = np.arange(space.domain_total, dtype=np.uint64)
             for perm, action in zip(perms, space.actions):

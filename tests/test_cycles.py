@@ -55,6 +55,11 @@ def test_letter_round_trip():
 def test_unknown_letter_is_named_with_the_alphabet():
     with pytest.raises(HypothesisUnmet, match="'X' is not one of F, B, D"):
         CycleOrientation.from_letters("FXB")
+    # built directly: a letter count that is not the order, or a letter above 2
+    with pytest.raises(HypothesisUnmet, match="2 letters for a 3-cycle"):
+        CycleOrientation(3, (0, 1))
+    with pytest.raises(HypothesisUnmet, match="letters must be 0, 1 or 2"):
+        CycleOrientation(3, (0, 1, 3))
 
 
 def test_rotation_helpers():
@@ -62,6 +67,8 @@ def test_rotation_helpers():
     assert rot.order == 3
     assert Rotation(6, 6).is_trivial()
     assert Rotation(5, 2).as_permutation().image == (2, 3, 4, 0, 1)
+    with pytest.raises(OutOfRange, match="rotations need at least 1 vertex, got 0"):
+        Rotation(0, 1)
 
 
 @given(cycle_orients(max_n=7), st.data())
